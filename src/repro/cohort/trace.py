@@ -4,16 +4,9 @@ Clients never influence the server (the paper's scalability property,
 asserted by the test suite), so the server's entire output -- one
 :class:`~repro.broadcast.program.BroadcastProgram` per cycle plus its
 start instant -- is a pure function of the parameters and the seed.  The
-cohort engine exploits that: it runs the server loop *once*, records the
-per-cycle programs, and then replays the trace to any number of client
-cohorts.
-
-The loop body is the same sequence as ``Simulation._server_process``
-(build with the previous cycle's outcome, observe the broadcast sizing
-metrics, air the cycle, run the cycle's update transactions, prune the
-server graph), driven by a plain accumulator instead of the event
-kernel; cycle starts are exact integers either way, so the recorded
-instants are bit-identical to the discrete run's.
+cohort engine exploits that: it runs the server loop
+(:class:`~repro.server.stack.CycleLoop`) *once*, records the per-cycle
+programs, and then replays the trace to any number of client cohorts.
 
 Programs are safe to retain: the incremental builder copy-on-writes its
 records and buckets, and every record type is frozen.
@@ -23,26 +16,14 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
-from repro.broadcast.program import BroadcastProgram
 from repro.config import ModelParameters
 from repro.core.control import BroadcastRequirements
-from repro.server.broadcast import ProgramBuilder
-from repro.server.database import Database
-from repro.server.itemstate import ItemStateStore, make_item_state
-from repro.server.transactions import TransactionEngine
-from repro.stats import names as metric_names
+from repro.server.stack import CycleLoop, CycleRecord, ServerStack
 from repro.stats.metrics import MetricsRegistry
 
-
-@dataclass(frozen=True)
-class CycleRecord:
-    """One broadcast cycle as aired: its program and start instant."""
-
-    cycle: int
-    start: float
-    program: BroadcastProgram
+__all__ = ["CycleRecord", "ServerTrace", "build_trace"]
 
 
 @dataclass
@@ -68,54 +49,12 @@ def build_trace(
     ``Simulation.__init__`` draws it (the first ``getrandbits(64)``), so
     the update workload matches the discrete run's bit for bit.
     """
-    database = Database(params.server.broadcast_size)
-    item_state: ItemStateStore = make_item_state(
-        database,
-        retention=(
-            params.server.retention if requirements.needs_old_versions else 0
-        ),
-        columnar=columnar,
-        items_per_bucket=params.server.items_per_bucket,
-    )
-    version_store: Optional[ItemStateStore] = (
-        item_state if requirements.needs_old_versions else None
-    )
-    engine = TransactionEngine(
-        params.server, database, version_store=version_store, rng=rng
-    )
-    builder = ProgramBuilder(
-        params.server,
-        database,
-        version_store=version_store,
-        requirements=requirements,
-        item_state=item_state,
-    )
-    records: List[CycleRecord] = []
-    outcome = None
-    start = 0
-    total_slots = 0
-    retention = max(params.server.retention, 2)
-    num_cycles = params.sim.num_cycles
-    for cycle in range(1, num_cycles + 1):
-        program = builder.build(cycle, outcome)
-        metrics.observe(metric_names.BROADCAST_SLOTS, program.total_slots)
-        metrics.observe(
-            metric_names.BROADCAST_CONTROL_SLOTS, program.control_slots
-        )
-        metrics.observe(
-            metric_names.BROADCAST_OVERFLOW_SLOTS,
-            len(program.overflow_buckets),
-        )
-        records.append(CycleRecord(cycle=cycle, start=start, program=program))
-        # Transactions logically commit *during* the cycle that just
-        # aired; their values go out with the next cycle's snapshot.
-        outcome = engine.run_cycle(cycle)
-        engine.prune_graph_before(cycle - 4 * retention)
-        start += program.total_slots
-        total_slots += program.total_slots
+    stack = ServerStack(params.server, requirements, rng, columnar=columnar)
+    loop = CycleLoop(stack, params, metrics)
+    records = list(loop)
     return ServerTrace(
         records=records,
-        end_time=start,
-        cycles_completed=num_cycles,
-        mean_cycle_slots=total_slots / num_cycles if num_cycles else 0.0,
+        end_time=loop.env.now,
+        cycles_completed=loop.backend.cycles_completed,
+        mean_cycle_slots=loop.backend.mean_cycle_slots,
     )

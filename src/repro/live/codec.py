@@ -167,6 +167,12 @@ class BitReader:
 MAGIC = b"\xb7\x1e"
 _HEADER = struct.Struct(">2sBBIIII")
 HEADER_BYTES = _HEADER.size  # 20
+#: Largest payload a frame may carry.  Far above anything the codec
+#: emits (a control segment for a 10^5-item database is tens of KiB), so
+#: a header claiming more is broken framing, not a slow frame: without
+#: the bound one flipped length bit would make a receiver buffer up to
+#: 4 GiB waiting for it.
+MAX_PAYLOAD_BYTES = 1 << 24
 
 HELLO = 0x01
 CONTROL = 0x02
@@ -188,6 +194,11 @@ class Frame:
 
 
 def encode_frame(ftype: int, cycle: int, slot: int, payload: bytes) -> bytes:
+    if len(payload) > MAX_PAYLOAD_BYTES:
+        raise CodecError(
+            f"frame payload of {len(payload)} bytes exceeds "
+            f"MAX_PAYLOAD_BYTES ({MAX_PAYLOAD_BYTES})"
+        )
     return (
         _HEADER.pack(
             MAGIC, ftype, 0, cycle, slot, len(payload),
@@ -201,7 +212,8 @@ def decode_frame(buf: bytes, offset: int = 0) -> Tuple[Frame, int]:
     """Strictly decode one frame at ``offset``; returns (frame, consumed).
 
     Raises :class:`FrameTruncated` when the buffer ends mid-frame,
-    :class:`FrameError` on a bad magic or unknown type, and
+    :class:`FrameError` on a bad magic, an unknown type or a length
+    above :data:`MAX_PAYLOAD_BYTES`, and
     :class:`FrameCorrupt` when the payload fails its CRC32.
     """
     if len(buf) - offset < HEADER_BYTES:
@@ -215,6 +227,11 @@ def decode_frame(buf: bytes, offset: int = 0) -> Tuple[Frame, int]:
         raise FrameError(f"bad frame magic {magic!r}")
     if ftype not in _FRAME_TYPES:
         raise FrameError(f"unknown frame type 0x{ftype:02x}")
+    if length > MAX_PAYLOAD_BYTES:
+        raise FrameError(
+            f"frame length {length} exceeds MAX_PAYLOAD_BYTES "
+            f"({MAX_PAYLOAD_BYTES})"
+        )
     start = offset + HEADER_BYTES
     if len(buf) - start < length:
         raise FrameTruncated(

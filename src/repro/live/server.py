@@ -1,15 +1,13 @@
 """The asyncio broadcast server: real encoded cycles over TCP fan-out.
 
-The server stack is the *unmodified* simulation substrate --
-``Database`` / ``ItemStateStore`` / ``TransactionEngine`` /
-``ProgramBuilder`` -- driven through the unmodified
-:class:`~repro.server.backend.SingleChannelBackend` loop.  Only the
-kernel is swapped out: the backend's ``yield env.timeout(slots)``
-lands here, where the cycle's frames are fanned out to every connected
-listener and a :class:`~repro.live.clock.CycleClock` waits out the
-airtime.  Clients never send anything after connecting (broadcast
-*push*: the paper's scalability property is physical here -- the
-server's work is independent of the audience size).
+The server is the simulation's :class:`~repro.server.stack.ServerStack`,
+stepped cycle by cycle through :class:`~repro.server.stack.CycleLoop`.
+Only the kernel is swapped out: each cycle the loop yields lands here,
+where its frames are fanned out to every connected listener and a
+:class:`~repro.live.clock.CycleClock` waits out the airtime.  Clients
+never send anything after connecting (broadcast *push*: the paper's
+scalability property is physical here -- the server's work is
+independent of the audience size).
 
 Shutdown is deliberately boring: ``stop()`` is idempotent, closes the
 listening socket (opened with ``SO_REUSEADDR``, so back-to-back runs
@@ -23,9 +21,8 @@ from __future__ import annotations
 import asyncio
 import random
 from dataclasses import asdict
-from typing import Dict, Optional, Set
+from typing import Optional, Set
 
-from repro.cohort.shim import CohortEnv
 from repro.config import (
     ClientParameters,
     FaultParameters,
@@ -43,11 +40,7 @@ from repro.live.codec import (
     WireProfile,
     encode_json_frame,
 )
-from repro.server.backend import SingleChannelBackend
-from repro.server.broadcast import ProgramBuilder
-from repro.server.database import Database
-from repro.server.itemstate import ItemStateStore, make_item_state
-from repro.server.transactions import TransactionEngine
+from repro.server.stack import CycleLoop, ServerStack
 from repro.stats.metrics import MetricsRegistry
 
 
@@ -72,18 +65,6 @@ def requirements_to_wire(requirements: BroadcastRequirements) -> dict:
 
 def requirements_from_wire(blob: dict) -> BroadcastRequirements:
     return BroadcastRequirements(**blob)
-
-
-class _ProgramFeed:
-    """The backend's channel seam: captures each cycle's program."""
-
-    __slots__ = ("program",)
-
-    def __init__(self) -> None:
-        self.program = None
-
-    def begin_cycle(self, program) -> None:
-        self.program = program
 
 
 class LiveBroadcastServer:
@@ -136,46 +117,17 @@ class LiveBroadcastServer:
             master = random.Random(params.sim.seed)
             engine_rng = random.Random(master.getrandbits(64))
 
-        # -- the unmodified server substrate (same wiring as build_trace) --
-        self.database = Database(params.server.broadcast_size)
-        item_state = make_item_state(
-            self.database,
-            retention=(
-                params.server.retention
-                if self.requirements.needs_old_versions
-                else 0
-            ),
-            columnar=columnar,
-            items_per_bucket=params.server.items_per_bucket,
-        )
-        version_store: Optional[ItemStateStore] = (
-            item_state if self.requirements.needs_old_versions else None
-        )
-        self.engine = TransactionEngine(
+        stack = ServerStack(
             params.server,
-            self.database,
-            version_store=version_store,
-            rng=engine_rng,
+            self.requirements,
+            engine_rng,
+            columnar=columnar,
             keep_history=keep_history,
         )
-        builder = ProgramBuilder(
-            params.server,
-            self.database,
-            version_store=version_store,
-            requirements=self.requirements,
-            item_state=item_state,
-        )
-        self._env = CohortEnv()
-        self._feed = _ProgramFeed()
-        self.backend = SingleChannelBackend(
-            env=self._env,
-            params=params,
-            report_schedule=self.report_schedule,
-            metrics=self.metrics,
-            engine=self.engine,
-            builder=builder,
-            channel=self._feed,
-        )
+        self.database = stack.database
+        self.engine = stack.engine
+        self.cycles = CycleLoop(stack, params, self.metrics)
+        self.backend = self.cycles.backend
         self.profile = WireProfile.from_params(
             params.server, self.requirements
         )
@@ -304,26 +256,20 @@ class LiveBroadcastServer:
     # -- the broadcast loop --------------------------------------------------
 
     async def run(self) -> None:
-        """Air ``num_cycles`` cycles, then an END frame.
-
-        The backend generator is the DES server loop verbatim; every
-        ``Wake`` it yields is one cycle's airtime.
-        """
+        """Air ``num_cycles`` cycles, then an END frame."""
         if self._server is None:
             raise RuntimeError("call start() before run()")
-        gen = self.backend.process()
+        records = iter(self.cycles)
         start_slot = 0
         while not self._stop_event.is_set():
-            try:
-                wake = next(gen)
-            except StopIteration:
+            record = next(records, None)
+            if record is None:
                 break
-            program = self._feed.program
+            program = record.program
             frames = self.codec.encode_cycle(program, start_slot)
             await self._broadcast(b"".join(frames))
             await self._wait_cycle(program.total_slots)
             start_slot += program.total_slots
-            self._env.now = wake.at
         self.end_time = float(start_slot)
         if not self._stop_event.is_set():
             await self._broadcast(

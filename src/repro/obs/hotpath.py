@@ -10,8 +10,8 @@ life in, so a kernel change can be attributed to the layer it touched:
 * ``programs``  -- :class:`repro.server.broadcast.ProgramBuilder` builds
   per second while a real :class:`TransactionEngine` advances the
   database between builds, for both the flat and the overflow layout
-  (and, when the builder supports it, with the incremental cycle build
-  disabled, so the copy-on-write win is measured, not asserted);
+  (and with the incremental cycle build disabled, so the copy-on-write
+  win is measured, not asserted);
 * ``clients``   -- full simulations at 1/10/100 clients: cycles per
   second and events per second, the end-to-end number the ROADMAP's
   "fast as the hardware allows" is judged by;
@@ -34,7 +34,6 @@ from __future__ import annotations
 import argparse
 import cProfile
 import gc
-import inspect
 import json
 import os
 import platform
@@ -94,12 +93,6 @@ def bench_dispatch(repeats: int, processes: int = 64, hops: int = 2000) -> Dict[
 # -- programs: the per-cycle builder ---------------------------------------
 
 
-def _builder_supports_incremental() -> bool:
-    from repro.server.broadcast import ProgramBuilder
-
-    return "incremental" in inspect.signature(ProgramBuilder.__init__).parameters
-
-
 def _programs_once(
     cycles: int,
     organization: Optional[str],
@@ -117,43 +110,24 @@ def _programs_once(
     from dataclasses import replace
 
     from repro.core.control import BroadcastRequirements
-    from repro.server.broadcast import ProgramBuilder
-    from repro.server.database import Database
-    from repro.server.itemstate import make_item_state
-    from repro.server.transactions import TransactionEngine
+    from repro.server.stack import ServerStack
 
     params = DEFAULTS.server
     if db_size is not None:
         params = replace(params, broadcast_size=db_size)
-    database = Database(params.broadcast_size)
     requirements = BroadcastRequirements()
-    retention = 0
     if organization is not None:
         requirements = BroadcastRequirements(
             needs_old_versions=True, organization=organization
         )
-        retention = params.retention
-    item_state = make_item_state(
-        database,
-        retention=retention,
-        columnar=columnar,
-        items_per_bucket=params.items_per_bucket,
-    )
-    version_store = item_state if organization is not None else None
-    engine = TransactionEngine(
-        params, database, version_store=version_store, rng=random.Random(11)
-    )
-    kwargs = {}
-    if _builder_supports_incremental():
-        kwargs["incremental"] = incremental
-    builder = ProgramBuilder(
+    stack = ServerStack(
         params,
-        database,
-        version_store=version_store,
-        requirements=requirements,
-        item_state=item_state,
-        **kwargs,
+        requirements,
+        random.Random(11),
+        columnar=columnar,
+        incremental=incremental,
     )
+    builder, engine = stack.builder, stack.engine
 
     gc.collect()
     outcome = None
@@ -200,17 +174,16 @@ def bench_programs(
         if best is None or sample["seconds"] < best["seconds"]:
             best = sample
     out["clustered"] = best
-    if _builder_supports_incremental():
-        # The same build loop with the persistent index switched off: the
-        # copy-on-write win is measured against the full rebuild, on the
-        # same machine, in the same process.
-        for label, organization in variants[:2]:
-            best = None
-            for _ in range(max(1, repeats)):
-                sample = _programs_once(cycles, organization, incremental=False)
-                if best is None or sample["seconds"] < best["seconds"]:
-                    best = sample
-            out[f"{label}_full_rebuild"] = best
+    # The same build loop with the persistent index switched off: the
+    # copy-on-write win is measured against the full rebuild, on the
+    # same machine, in the same process.
+    for label, organization in variants[:2]:
+        best = None
+        for _ in range(max(1, repeats)):
+            sample = _programs_once(cycles, organization, incremental=False)
+            if best is None or sample["seconds"] < best["seconds"]:
+                best = sample
+        out[f"{label}_full_rebuild"] = best
     # The item-count scale lane the columnar store unlocks (ROADMAP
     # item 4): overflow builds over a 10^5-item database, columnar and
     # dict reference alternating round by round.
@@ -247,36 +220,16 @@ def _codec_once(
     same server loop the ``programs`` lanes drive."""
     from repro.core.control import BroadcastRequirements
     from repro.live.codec import CycleCodec, WireProfile
-    from repro.server.broadcast import ProgramBuilder
-    from repro.server.database import Database
-    from repro.server.itemstate import make_item_state
-    from repro.server.transactions import TransactionEngine
+    from repro.server.stack import ServerStack
 
     params = DEFAULTS.server
-    database = Database(params.broadcast_size)
-    retention = params.retention if organization is not None else 0
     requirements = BroadcastRequirements(
         needs_old_versions=organization is not None,
         organization=organization or "overflow",
         needs_sgt=sgt,
     )
-    item_state = make_item_state(
-        database,
-        retention=retention,
-        columnar=True,
-        items_per_bucket=params.items_per_bucket,
-    )
-    version_store = item_state if organization is not None else None
-    engine = TransactionEngine(
-        params, database, version_store=version_store, rng=random.Random(11)
-    )
-    builder = ProgramBuilder(
-        params,
-        database,
-        version_store=version_store,
-        requirements=requirements,
-        item_state=item_state,
-    )
+    stack = ServerStack(params, requirements, random.Random(11))
+    builder, engine = stack.builder, stack.engine
     codec = CycleCodec(WireProfile.from_params(params, requirements))
 
     gc.collect()

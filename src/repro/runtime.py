@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, List, Optional
 
 from repro.broadcast.channel import BroadcastChannel
 from repro.broadcast.schedule import Schedule
@@ -33,11 +33,8 @@ from repro.core.base import Scheme
 from repro.core.control import BroadcastRequirements, ReportSchedule
 from repro.obs.trace import EV_ENGINE_STEP, Tracer, gate
 from repro.resilience import build_client_resilience, resilience_seed
-from repro.server.backend import ServerBackend, SingleChannelBackend
-from repro.server.broadcast import ProgramBuilder
-from repro.server.database import Database
-from repro.server.itemstate import ItemStateStore, make_item_state
-from repro.server.transactions import TransactionEngine
+from repro.server.backend import ServerBackend
+from repro.server.stack import ServerStack
 from repro.sim.engine import Environment
 from repro.stats.metrics import MetricsRegistry
 
@@ -97,7 +94,58 @@ class SimulationResult:
         return counter.value if counter else 0
 
 
-class Simulation:
+class KernelSimulation:
+    """The event-kernel side :class:`Simulation` and the sharded
+    simulation share: tracer binding, the server process and result
+    aggregation.  Subclasses build ``schemes``, ``clients`` and the
+    backend between :meth:`_bind_kernel` and :meth:`_start_server`."""
+
+    params: ModelParameters
+    schemes: List[Scheme]
+    clients: List[BroadcastClient]
+    backend: ServerBackend
+
+    def _bind_kernel(
+        self, params: ModelParameters, tracer: Optional[Tracer]
+    ) -> None:
+        self.params = params
+        self.env = Environment()
+        self.metrics = MetricsRegistry()
+        self._rng = random.Random(params.sim.seed)
+        self.tracer = tracer
+        self._trace_c = gate(tracer, "cycles")
+        if tracer is not None and tracer.enabled:
+            tracer.bind_clock(lambda: self.env.now)
+            if tracer.engine:
+                self.env.set_trace_hook(
+                    lambda now, ev: tracer.emit(
+                        EV_ENGINE_STEP, event=type(ev).__name__
+                    )
+                )
+
+    def _start_server(self, backend: ServerBackend) -> None:
+        self.backend = backend
+        self._stop = self.env.event()
+        self.env.process(self._server_process())
+
+    def _server_process(self):
+        yield from self.backend.process()
+        self._stop.succeed()
+
+    def run(self) -> SimulationResult:
+        """Run to the configured number of cycles and aggregate results."""
+        self.env.run(until=self._stop)
+        return SimulationResult(
+            params=self.params,
+            scheme_label=self.schemes[0].label if self.schemes else "none",
+            metrics=self.metrics,
+            cycles_completed=self.backend.cycles_completed,
+            mean_cycle_slots=self.backend.mean_cycle_slots,
+            clients=self.clients,
+        )
+
+
+class Simulation(KernelSimulation):
     """Builds and runs one complete broadcast-push simulation."""
 
     def __init__(
@@ -113,24 +161,8 @@ class Simulation:
         columnar: bool = True,
     ) -> None:
         params.validate()
-        self.params = params
         self.report_schedule = report_schedule or ReportSchedule()
-        self.env = Environment()
-        self.metrics = MetricsRegistry()
-        self._rng = random.Random(params.sim.seed)
-        self.tracer = tracer
-        self._trace_c = gate(tracer, "cycles")
-        if tracer is not None and tracer.enabled:
-            tracer.bind_clock(lambda: self.env.now)
-            if tracer.engine:
-                self.env.set_trace_hook(
-                    lambda now, ev: tracer.emit(
-                        EV_ENGINE_STEP, event=type(ev).__name__
-                    )
-                )
-
-        # -- server substrate ------------------------------------------------
-        self.database = Database(params.server.broadcast_size)
+        self._bind_kernel(params, tracer)
 
         # Instantiate one scheme per client and merge their requirements.
         self.schemes: List[Scheme] = [
@@ -142,42 +174,22 @@ class Simulation:
         for scheme in self.schemes:
             requirements = requirements.merge(scheme.requirements())
 
-        # One item-state store per run (the seam of DESIGN §14).  The
-        # old-version view (``version_store``) stays None for schemes
-        # that broadcast no old versions -- the builder keys SGT control
-        # sizing and has_old pointers off that -- while the store itself
-        # always exists so record/report assembly can use its columns.
-        self.item_state: ItemStateStore = make_item_state(
-            self.database,
-            retention=(
-                params.server.retention
-                if requirements.needs_old_versions
-                else 0
-            ),
-            columnar=columnar,
-            items_per_bucket=params.server.items_per_bucket,
-        )
-        self.version_store: Optional[ItemStateStore] = (
-            self.item_state if requirements.needs_old_versions else None
-        )
-
-        self.engine = TransactionEngine(
+        # -- server substrate: the engine RNG is the master's first draw --
+        stack = ServerStack(
             params.server,
-            self.database,
-            version_store=self.version_store,
-            rng=random.Random(self._rng.getrandbits(64)),
+            requirements,
+            random.Random(self._rng.getrandbits(64)),
+            schedule=schedule,
+            tracer=tracer,
+            columnar=columnar,
             keep_history=keep_history,
             interleaved=interleaved_server,
         )
-        self.builder = ProgramBuilder(
-            params.server,
-            self.database,
-            version_store=self.version_store,
-            schedule=schedule,
-            requirements=requirements,
-            tracer=tracer,
-            item_state=self.item_state,
-        )
+        self.database = stack.database
+        self.item_state = stack.item_state
+        self.version_store = stack.version_store
+        self.engine = stack.engine
+        self.builder = stack.builder
 
         # -- air interface and clients ------------------------------------------
         self.channel = BroadcastChannel(self.env)
@@ -234,48 +246,13 @@ class Simulation:
                 )
             )
 
-        self.backend: ServerBackend = SingleChannelBackend(
-            env=self.env,
-            params=params,
-            report_schedule=self.report_schedule,
-            metrics=self.metrics,
-            engine=self.engine,
-            builder=self.builder,
-            channel=self.channel,
-            trace_cycles=self._trace_c,
-        )
-        self._stop = self.env.event()
-        self.env.process(self._server_process())
-
-    # -- the server loop ----------------------------------------------------------
-
-    def _server_process(self):
-        yield from self.backend.process()
-        self._stop.succeed()
-
-    @property
-    def _cycles_completed(self) -> int:
-        return self.backend.cycles_completed
-
-    @property
-    def _total_slots(self) -> int:
-        return self.backend.total_slots
-
-    # -- running ----------------------------------------------------------------------
-
-    def run(self) -> SimulationResult:
-        """Run to the configured number of cycles and aggregate results."""
-        self.env.run(until=self._stop)
-        mean_slots = (
-            self._total_slots / self._cycles_completed
-            if self._cycles_completed
-            else 0.0
-        )
-        return SimulationResult(
-            params=self.params,
-            scheme_label=self.schemes[0].label if self.schemes else "none",
-            metrics=self.metrics,
-            cycles_completed=self._cycles_completed,
-            mean_cycle_slots=mean_slots,
-            clients=self.clients,
+        self._start_server(
+            stack.backend(
+                self.env,
+                self.channel,
+                params,
+                self.metrics,
+                self.report_schedule,
+                self._trace_c,
+            )
         )

@@ -1,18 +1,16 @@
 """The server backend seam: who builds, airs and commits each cycle.
 
-:class:`~repro.runtime.Simulation` historically inlined the single-channel
-server loop in ``_server_process``.  The sharded multi-channel server
-(:mod:`repro.shard`) needs the same builder/engine/RNG/pruning order over
-*K* channels, so the loop lives here behind a small protocol:
+The single-channel server (:class:`SingleChannelBackend`) and the
+sharded multi-channel server (:mod:`repro.shard`) run the same
+builder/engine/RNG/pruning order, behind a small protocol:
 
 * :class:`ServerBackend` -- the contract: a ``process()`` generator that
   drives the broadcast to ``num_cycles`` and the two counters the result
   aggregation reads (``cycles_completed``, ``total_slots``).
-* :class:`SingleChannelBackend` -- the paper's monolithic server, moved
-  verbatim from ``Simulation._server_process``.  Event order, metric
-  observations, trace emissions and engine RNG draws are unchanged, so
-  recorded traces, the cohort trace recorder and every committed baseline
-  stay bit-identical.
+* :class:`SingleChannelBackend` -- the paper's monolithic server.  Every
+  mode builds it from one :class:`~repro.server.stack.ServerStack`: the
+  discrete simulation drives it through the event kernel, the cohort
+  trace and the live server through :class:`~repro.server.stack.CycleLoop`.
 """
 
 from __future__ import annotations
@@ -38,6 +36,13 @@ class ServerBackend(ABC):
     cycles_completed: int = 0
     #: Sum of per-cycle program lengths, in slots.
     total_slots: int = 0
+
+    @property
+    def mean_cycle_slots(self) -> float:
+        """Mean broadcast length in slots over the completed cycles."""
+        if not self.cycles_completed:
+            return 0.0
+        return self.total_slots / self.cycles_completed
 
     @abstractmethod
     def process(self) -> Generator:

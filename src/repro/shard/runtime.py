@@ -20,8 +20,9 @@ K=1 bit-identity
 ----------------
 With one shard the construction below performs *exactly* the RNG draws,
 event creations, metric observations and trace emissions of
-:class:`~repro.runtime.Simulation` -- it even reuses
-:class:`~repro.server.backend.SingleChannelBackend` -- so results are
+:class:`~repro.runtime.Simulation` -- both build their server from one
+:class:`~repro.server.stack.ServerStack` and share
+:class:`~repro.runtime.KernelSimulation` -- so results are
 bit-identical; :mod:`repro.shard.oracle` enforces this differentially.
 """
 
@@ -41,16 +42,15 @@ from repro.faults.injector import _SEED_SALT, FaultInjector
 from repro.obs.trace import (
     EV_CYCLE_END,
     EV_CYCLE_START,
-    EV_ENGINE_STEP,
     EV_SHARD_CYCLE_START,
     Tracer,
-    gate,
 )
-from repro.runtime import SimulationResult
-from repro.server.backend import ServerBackend, SingleChannelBackend
+from repro.runtime import KernelSimulation
+from repro.server.backend import ServerBackend
 from repro.server.broadcast import ProgramBuilder
 from repro.server.database import Database
-from repro.server.itemstate import ItemStateStore, make_item_state
+from repro.server.itemstate import ItemStateStore
+from repro.server.stack import ServerStack
 from repro.server.transactions import TransactionEngine
 from repro.shard.client import ShardedClient
 from repro.shard.partition import Partitioner, make_partitioner
@@ -225,7 +225,7 @@ class ShardedBroadcastBackend(ServerBackend):
             cycle += 1
 
 
-class ShardedSimulation:
+class ShardedSimulation(KernelSimulation):
     """One sharded broadcast-push simulation (K channels, one database).
 
     ``shard_retention`` optionally tunes the old-version retention ``S``
@@ -279,7 +279,6 @@ class ShardedSimulation:
                     "store's 255-version has-old column; pass "
                     "columnar=False for deeper retention"
                 )
-        self.params = params
         self.num_shards = num_shards
         self.consistency = consistency
         self.cross_shard_fraction = cross_shard_fraction
@@ -296,19 +295,7 @@ class ShardedSimulation:
                 partitioner, num_shards, params.server.broadcast_size
             )
 
-        self.env = Environment()
-        self.metrics = MetricsRegistry()
-        self._rng = random.Random(params.sim.seed)
-        self.tracer = tracer
-        self._trace_c = gate(tracer, "cycles")
-        if tracer is not None and tracer.enabled:
-            tracer.bind_clock(lambda: self.env.now)
-            if tracer.engine:
-                self.env.set_trace_hook(
-                    lambda now, ev: tracer.emit(
-                        EV_ENGINE_STEP, event=type(ev).__name__
-                    )
-                )
+        self._bind_kernel(params, tracer)
 
         # -- shared server substrate ---------------------------------------
         self.database = Database(params.server.broadcast_size)
@@ -348,72 +335,49 @@ class ShardedSimulation:
             base += count
 
         self.shards: List[ShardState] = []
+        sliced = num_shards > 1
         for k in range(num_shards):
             retention = (
                 shard_retention[k]
                 if shard_retention is not None
                 else params.server.retention
             )
+            engine_rng: Optional[random.Random] = None
+            if not sliced or txn_counts[k] > 0:
+                engine_rng = random.Random(self._rng.getrandbits(64))
             # One item-state store per shard over its own item slice, so K
             # stores together hold one universe's worth of columns.
-            item_state = make_item_state(
-                self.database,
-                retention=retention if requirements.needs_old_versions else 0,
-                columnar=columnar,
-                items=shard_items[k] if num_shards > 1 else None,
-                items_per_bucket=params.server.items_per_bucket,
-            )
-            version_store: Optional[ItemStateStore] = (
-                item_state if requirements.needs_old_versions else None
-            )
-            engine: Optional[TransactionEngine] = None
-            if num_shards == 1:
-                engine = TransactionEngine(
-                    params.server,
-                    self.database,
-                    version_store=version_store,
-                    rng=random.Random(self._rng.getrandbits(64)),
-                    keep_history=keep_history,
-                )
-            elif txn_counts[k] > 0:
-                shard_server = replace(
-                    params.server,
-                    transactions_per_cycle=txn_counts[k],
-                    updates_per_cycle=txn_counts[k] * upt,
-                )
-                engine = TransactionEngine(
-                    shard_server,
-                    self.database,
-                    version_store=version_store,
-                    rng=random.Random(self._rng.getrandbits(64)),
-                    keep_history=keep_history,
-                    restrict_items=frozenset(shard_items[k]),
-                )
-            builder = ProgramBuilder(
+            stack = ServerStack(
                 params.server,
-                self.database,
-                version_store=version_store,
-                schedule=(
-                    schedule
-                    if num_shards == 1
-                    else ShardSchedule(shard_items[k])
+                requirements,
+                engine_rng,
+                database=self.database,
+                retention=retention,
+                items=shard_items[k] if sliced else None,
+                engine_server=(
+                    replace(
+                        params.server,
+                        transactions_per_cycle=txn_counts[k],
+                        updates_per_cycle=txn_counts[k] * upt,
+                    )
+                    if sliced
+                    else None
                 ),
-                requirements=requirements,
+                schedule=ShardSchedule(shard_items[k]) if sliced else schedule,
                 tracer=tracer,
-                item_state=item_state,
+                columnar=columnar,
+                keep_history=keep_history,
             )
-            channel = BroadcastChannel(self.env)
             self.shards.append(
                 ShardState(
                     index=k,
                     items=shard_items[k],
-                    channel=channel,
-                    builder=builder,
-                    engine=engine,
-                    version_store=version_store,
+                    channel=BroadcastChannel(self.env),
+                    builder=stack.builder,
+                    engine=stack.engine,
+                    version_store=stack.version_store,
                     retention=retention,
-                    txn_count=txn_counts[k] if num_shards > 1 else
-                    params.server.transactions_per_cycle,
+                    txn_count=txn_counts[k],
                     seq_base=seq_bases[k],
                 )
             )
@@ -487,26 +451,23 @@ class ShardedSimulation:
 
         # -- the driver -------------------------------------------------------
         if num_shards == 1:
-            self.backend: ServerBackend = SingleChannelBackend(
-                env=self.env,
-                params=params,
-                report_schedule=self.report_schedule,
-                metrics=self.metrics,
-                engine=self.shards[0].engine,
-                builder=self.shards[0].builder,
-                channel=self.shards[0].channel,
-                trace_cycles=self._trace_c,
+            backend: ServerBackend = stack.backend(
+                self.env,
+                self.shards[0].channel,
+                params,
+                self.metrics,
+                self.report_schedule,
+                self._trace_c,
             )
         else:
-            self.backend = ShardedBroadcastBackend(
+            backend = ShardedBroadcastBackend(
                 env=self.env,
                 params=params,
                 metrics=self.metrics,
                 shards=self.shards,
                 trace_cycles=self._trace_c,
             )
-        self._stop = self.env.event()
-        self.env.process(self._server_process())
+        self._start_server(backend)
 
     # -- workload apportionment -------------------------------------------
 
@@ -538,12 +499,6 @@ class ShardedSimulation:
         counts = apportion(server.transactions_per_cycle, masses)
         return counts, server.updates_per_transaction
 
-    # -- the server loop ---------------------------------------------------
-
-    def _server_process(self):
-        yield from self.backend.process()
-        self._stop.succeed()
-
     # -- single-channel compatibility surface ------------------------------
 
     @property
@@ -561,30 +516,3 @@ class ShardedSimulation:
     @property
     def version_store(self) -> Optional[ItemStateStore]:
         return self.shards[0].version_store
-
-    @property
-    def _cycles_completed(self) -> int:
-        return self.backend.cycles_completed
-
-    @property
-    def _total_slots(self) -> int:
-        return self.backend.total_slots
-
-    # -- running -----------------------------------------------------------
-
-    def run(self) -> SimulationResult:
-        """Run to the configured number of cycles and aggregate results."""
-        self.env.run(until=self._stop)
-        mean_slots = (
-            self._total_slots / self._cycles_completed
-            if self._cycles_completed
-            else 0.0
-        )
-        return SimulationResult(
-            params=self.params,
-            scheme_label=self.schemes[0].label if self.schemes else "none",
-            metrics=self.metrics,
-            cycles_completed=self._cycles_completed,
-            mean_cycle_slots=mean_slots,
-            clients=self.clients,
-        )

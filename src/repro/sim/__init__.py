@@ -10,9 +10,6 @@ on packages that are unavailable offline.  The kernel provides:
   events, timeouts, and condition events (``all_of`` / ``any_of``).
 * :class:`~repro.sim.process.Process` -- cooperative processes written as
   Python generators that ``yield`` events.
-* :class:`~repro.sim.resources.Resource` / :class:`~repro.sim.resources.Store`
-  -- contention primitives used by the broadcast channel and client models.
-* :class:`~repro.sim.monitor.Monitor` -- time-series instrumentation.
 
 The semantics intentionally mirror SimPy's core so that the broadcast-cycle
 simulation reads like textbook simulation code:
@@ -40,9 +37,7 @@ from repro.sim.events import (
     Interrupt,
     Timeout,
 )
-from repro.sim.monitor import Monitor, TimeSeries
 from repro.sim.process import Process, ProcessGenerator
-from repro.sim.resources import Resource, Store
 
 __all__ = [
     "AllOf",
@@ -52,12 +47,8 @@ __all__ = [
     "Event",
     "EventPriority",
     "Interrupt",
-    "Monitor",
     "Process",
     "ProcessGenerator",
-    "Resource",
     "StopSimulation",
-    "Store",
-    "TimeSeries",
     "Timeout",
 ]

@@ -127,3 +127,15 @@ def aborted_transactions(clients: Iterable) -> List[ReadOnlyTransaction]:
             if txn.status is TransactionStatus.ABORTED
         )
     return result
+
+
+def assert_programs_equal(a, b) -> None:
+    """Two broadcast programs are identical, field by field."""
+    assert a.cycle == b.cycle
+    assert a.control == b.control
+    assert a.control_slots == b.control_slots
+    assert a.index_slots == b.index_slots
+    assert a.total_slots == b.total_slots
+    assert a.organization == b.organization
+    assert list(a.data_buckets) == list(b.data_buckets)
+    assert list(a.overflow_buckets) == list(b.overflow_buckets)

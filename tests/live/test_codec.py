@@ -38,6 +38,7 @@ from repro.live.codec import (
     DATA,
     HEADER_BYTES,
     HELLO,
+    MAX_PAYLOAD_BYTES,
     BitReader,
     BitWriter,
     CodecError,
@@ -302,6 +303,24 @@ def test_bad_magic_and_unknown_type_are_fatal_frame_errors():
     with pytest.raises(FrameError) as excinfo:
         decode_frame(bytes(raw))
     assert not isinstance(excinfo.value, (FrameTruncated, FrameCorrupt))
+
+
+def test_oversized_length_is_a_fatal_frame_error_not_a_stall():
+    """A header claiming 0xFFFFFFFF payload bytes fails at once instead
+    of leaving the stream waiting for 4 GiB."""
+    raw = bytearray(encode_frame(DATA, 1, 1, b"x"))
+    raw[12:16] = (0xFFFFFFFF).to_bytes(4, "big")
+    stream = FrameStream()
+    with pytest.raises(FrameError) as excinfo:
+        stream.feed(bytes(raw[:HEADER_BYTES]))
+    assert not isinstance(excinfo.value, (FrameTruncated, FrameCorrupt))
+
+    # The bound is inclusive on both sides: a maximal payload still
+    # round-trips, and the encoder refuses anything larger.
+    frame, _ = decode_frame(encode_frame(DATA, 1, 1, bytes(MAX_PAYLOAD_BYTES)))
+    assert len(frame.payload) == MAX_PAYLOAD_BYTES
+    with pytest.raises(CodecError):
+        encode_frame(DATA, 1, 1, bytes(MAX_PAYLOAD_BYTES + 1))
 
 
 def test_frame_stream_reassembles_split_and_corrupt_frames():

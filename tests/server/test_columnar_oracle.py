@@ -32,6 +32,7 @@ from repro.server.broadcast import ProgramBuilder
 from repro.server.database import Database
 from repro.server.itemstate import make_item_state
 from repro.server.transactions import TransactionEngine
+from tests.helpers import assert_programs_equal
 
 FULL_MATRIX = os.environ.get("REPRO_COLUMNAR_FULL") == "1"
 SEEDS = DEFAULT_SEEDS if FULL_MATRIX else DEFAULT_SEEDS[:2]
@@ -91,16 +92,6 @@ def _build_pair(organization, incremental, cycles=40, db_size=None):
     return zip(*programs)
 
 
-def _assert_programs_equal(columnar, dict_ref):
-    assert columnar.cycle == dict_ref.cycle
-    assert columnar.control == dict_ref.control
-    assert columnar.control_slots == dict_ref.control_slots
-    assert columnar.index_slots == dict_ref.index_slots
-    assert columnar.organization == dict_ref.organization
-    assert list(columnar.data_buckets) == list(dict_ref.data_buckets)
-    assert list(columnar.overflow_buckets) == list(dict_ref.overflow_buckets)
-
-
 class TestBuilderPrograms:
     """Program-level bit-identity, organization by organization."""
 
@@ -108,7 +99,7 @@ class TestBuilderPrograms:
     @pytest.mark.parametrize("incremental", [True, False])
     def test_every_cycle_program_identical(self, organization, incremental):
         for columnar, dict_ref in _build_pair(organization, incremental):
-            _assert_programs_equal(columnar, dict_ref)
+            assert_programs_equal(columnar, dict_ref)
 
     def test_incremental_columnar_matches_full_rebuild_dict(self):
         """Cross pairing: incremental columnar vs full-rebuild dict --
@@ -145,7 +136,7 @@ class TestBuilderPrograms:
                 outcome = engine.run_cycle(cycle)
             runs.append(built)
         for a, b in zip(*runs):
-            _assert_programs_equal(a, b)
+            assert_programs_equal(a, b)
 
 
 class TestEndToEndRegistry:
@@ -267,7 +258,7 @@ class TestScaleLane:
         for columnar, dict_ref in _build_pair(
             "overflow", True, cycles=6, db_size=self.DB_SIZE
         ):
-            _assert_programs_equal(columnar, dict_ref)
+            assert_programs_equal(columnar, dict_ref)
 
     def test_bigdb_simulation_runs(self):
         params = (

@@ -241,12 +241,3 @@ class TestSlotsContract:
         assert not timeout.processed
         env.run()
         assert timeout.value == "v"
-
-    def test_resource_events_keep_ad_hoc_attributes(self):
-        from repro.sim.resources import Resource
-
-        env = Environment()
-        resource = Resource(env, capacity=1)
-        request = resource.request()
-        request.marker = "ok"  # subclasses without __slots__ keep a dict
-        assert request.marker == "ok"
