@@ -24,7 +24,7 @@ Subcommands
     sweep's (scheme, x, seed) cells over N worker processes with
     byte-identical output, ``--cache DIR`` makes sweeps resumable, and
     ``--check`` runs the parallel-vs-serial determinism oracle instead
-    (see :mod:`repro.experiments.parallel`).
+    (``python -m repro.oracle parallel``, see :mod:`repro.oracle`).
 ``serve`` / ``listen``
     Live mode (:mod:`repro.live`): air a real broadcast over TCP /
     join one as a listening client.
@@ -475,7 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--artifacts",
         default=None,
         metavar="DIR",
-        help="with --check: write serial/parallel CSVs (and diffs) here",
+        help="with --check: write failing cells' CSVs, diffs and reports here",
     )
 
     serve = sub.add_parser(
@@ -948,13 +948,13 @@ def _command_trace(args: argparse.Namespace) -> int:
 
 def _command_experiments(args: argparse.Namespace) -> int:
     if args.check:
-        from repro.experiments import parallel
+        from repro import oracle
 
-        argv: List[str] = ["check", "--jobs", str(max(args.jobs, 2))]
+        argv: List[str] = ["parallel", "--jobs", str(max(args.jobs, 2))]
         if args.artifacts:
             argv += ["--artifacts", args.artifacts]
         argv += args.names
-        return parallel.main(argv)
+        return oracle.main(argv)
 
     from repro.experiments.__main__ import main as experiments_main
 

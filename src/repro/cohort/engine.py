@@ -6,8 +6,8 @@ server or another client) to advance each member *client-major*: all of
 one client's events within a cycle run before the next client's.  Both
 orders execute the identical multiset of per-client steps with identical
 per-client clocks and RNG streams, so every counter, ratio and sampler
-exact-sum is equal to the discrete run's -- the property
-:mod:`repro.cohort.oracle` checks exhaustively.
+exact-sum is equal to the discrete run's -- the property the ``cohort``
+suite of :mod:`repro.oracle` checks exhaustively.
 
 Per member and cycle boundary ``T1`` the driver replays the kernel's
 scheduling rules:

@@ -31,10 +31,11 @@ This module exploits that:
   cells.
 
 The determinism contract is enforced by the oracle suite
-(``tests/integration/test_parallel_oracle.py``) and by the ``check``
-subcommand below, which CI runs::
+(``tests/integration/test_parallel_oracle.py``) and by the ``parallel``
+suite of :mod:`repro.oracle`, which CI runs; ``bench`` below records the
+speedup::
 
-    python -m repro.experiments.parallel check --jobs 2
+    python -m repro.oracle parallel --jobs 2
     python -m repro.experiments.parallel bench --jobs 4 \\
         --out results/BENCH_parallel.json
 """
@@ -525,130 +526,7 @@ def run_point_cells(
     return point
 
 
-# -- the experiment registry for the determinism oracle ----------------------
-
-
-def oracle_experiments() -> Dict[str, Callable[..., SweepResult]]:
-    """Every registered sweep experiment, by name.
-
-    Each value accepts ``(profile=..., params=..., executor=..., **kw)``
-    and returns a :class:`SweepResult`; the determinism oracle (tests
-    and the ``check`` subcommand) runs each one serially and with
-    ``--jobs {1,2,4}`` and requires byte-identical CSV output.
-
-    Imported lazily: the figure modules import this module for
-    :func:`run_plan`, so a top-level import here would be circular.
-    """
-    from repro.experiments import (
-        faults,
-        fig5,
-        fig6,
-        fig8,
-        retention,
-        scalability,
-    )
-
-    return {
-        "fig5-left": fig5.run_left,
-        "fig5-right": fig5.run_right,
-        "fig6": fig6.run,
-        "fig8-left": fig8.run_left,
-        "fig8-right": fig8.run_right,
-        "scalability": scalability.run,
-        "retention": retention.run,
-        "faults": faults.run_loss_sweep,
-    }
-
-
-#: Reduced sweep kwargs per experiment so the oracle stays fast; the
-#: determinism contract is scale-free, so small grids pin it as well as
-#: the paper-scale ones.
-TINY_OVERRIDES: Dict[str, Dict[str, Any]] = {
-    "fig5-left": {"schemes": ("inval", "sgt+cache"), "ops_sweep": (2, 4)},
-    "fig5-right": {"schemes": ("inval",), "offset_sweep": (0, 20)},
-    "fig6": {"schemes": ("inval", "mv-caching"), "update_sweep": (5, 15)},
-    "fig8-left": {"schemes": ("inval+cache",), "ops_sweep": (2, 4)},
-    "fig8-right": {"offset_sweep": (0, 20)},
-    "scalability": {"scheme": "inval+cache", "client_sweep": (1, 3)},
-    "retention": {"retention_sweep": (2, 6)},
-    "faults": {"schemes": ("inval", "multiversion"), "loss_sweep": (0.0, 0.1)},
-}
-
-#: Small world for the smoke/check CLI (mirrors the test suite's tiny
-#: configurations: 100 items, 10 buckets/cycle, moderate contention).
-SMOKE_PARAMS = (
-    ModelParameters()
-    .with_server(
-        broadcast_size=100,
-        update_range=50,
-        offset=10,
-        updates_per_cycle=10,
-        transactions_per_cycle=5,
-        items_per_bucket=10,
-        retention=12,
-    )
-    .with_client(read_range=40, ops_per_query=4, think_time=0.5, cache_size=20)
-)
-
-SMOKE_PROFILE = ExperimentProfile(
-    num_cycles=30, warmup_cycles=3, num_clients=3, seeds=(5, 9)
-)
-
-
-# -- check / bench entry points (CI) -----------------------------------------
-
-
-def check_experiment(
-    name: str,
-    jobs: int,
-    profile: ExperimentProfile = SMOKE_PROFILE,
-    params: ModelParameters = SMOKE_PARAMS,
-    artifacts: Optional[str] = None,
-) -> bool:
-    """Parallel-vs-serial oracle for one experiment; True when identical.
-
-    Writes both CSVs (and, on mismatch, a unified diff) under
-    ``artifacts`` when given, so CI can upload the evidence.
-    """
-    from repro.experiments.render import sweep_to_csv
-    from repro.experiments.runner import write_sweep_csv
-
-    runner = oracle_experiments()[name]
-    kwargs = dict(TINY_OVERRIDES.get(name, {}))
-    serial = runner(profile=profile, params=params, **kwargs)
-    parallel = runner(
-        profile=profile, params=params, executor=make_executor(jobs), **kwargs
-    )
-    serial_csv = sweep_to_csv(serial)
-    parallel_csv = sweep_to_csv(parallel)
-    identical = serial_csv == parallel_csv
-
-    if artifacts is not None:
-        out = Path(artifacts)
-        out.mkdir(parents=True, exist_ok=True)
-        write_sweep_csv(
-            serial, str(out / f"{name}.serial.csv"), params=params, profile=profile
-        )
-        write_sweep_csv(
-            parallel,
-            str(out / f"{name}.jobs{jobs}.csv"),
-            params=params,
-            profile=profile,
-        )
-        if not identical:
-            import difflib
-
-            diff = "\n".join(
-                difflib.unified_diff(
-                    serial_csv.splitlines(),
-                    parallel_csv.splitlines(),
-                    fromfile=f"{name} serial",
-                    tofile=f"{name} jobs={jobs}",
-                    lineterm="",
-                )
-            )
-            (out / f"{name}.diff").write_text(diff + "\n")
-    return identical
+# -- bench entry point ------------------------------------------------------
 
 
 def benchmark(
@@ -712,67 +590,26 @@ def benchmark(
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro.experiments.parallel",
-        description="parallel sweep executor: determinism check and benchmark",
+        description="parallel sweep executor: serial vs --jobs N benchmark",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    check = sub.add_parser(
-        "check", help="parallel-vs-serial byte-identity oracle"
+    parser.add_argument(
+        "command", choices=["bench"],
+        help="bench: serial vs parallel wall-clock on the fig5 FULL sweep",
     )
-    check.add_argument(
-        "names",
-        nargs="*",
-        help="experiments to check (default: all registered)",
-    )
-    check.add_argument("--jobs", type=int, default=2)
-    check.add_argument(
-        "--artifacts",
-        default=None,
-        metavar="DIR",
-        help="write serial/parallel CSVs (and diffs on mismatch) here",
-    )
-
-    bench = sub.add_parser(
-        "bench", help="serial vs parallel wall-clock on the fig5 FULL sweep"
-    )
-    bench.add_argument("--jobs", type=int, default=4)
-    bench.add_argument("--quick", action="store_true")
-    bench.add_argument(
+    parser.add_argument("--jobs", type=int, default=4)
+    parser.add_argument("--quick", action="store_true")
+    parser.add_argument(
         "--schemes", nargs="*", default=None, help="restrict the scheme line-up"
     )
-    bench.add_argument("--out", default=None, metavar="FILE")
-
+    parser.add_argument("--out", default=None, metavar="FILE")
     args = parser.parse_args(argv)
 
-    if args.command == "check":
-        registered = oracle_experiments()
-        names = args.names or sorted(registered)
-        unknown = [n for n in names if n not in registered]
-        if unknown:
-            known = ", ".join(sorted(registered))
-            print(f"Unknown experiment(s): {', '.join(unknown)}; known: {known}")
-            return 2
-        failures = []
-        for name in names:
-            ok = check_experiment(name, jobs=args.jobs, artifacts=args.artifacts)
-            print(f"{name}: {'identical' if ok else 'MISMATCH'} (jobs={args.jobs})")
-            if not ok:
-                failures.append(name)
-        if failures:
-            print(f"determinism oracle FAILED: {', '.join(failures)}")
-            return 1
-        print(f"determinism oracle green for {len(names)} experiment(s)")
-        return 0
-
-    if args.command == "bench":
-        profile = QUICK_PROFILE if args.quick else FULL_PROFILE
-        record = benchmark(
-            jobs=args.jobs, profile=profile, out=args.out, schemes=args.schemes
-        )
-        print(json.dumps(record, indent=2, sort_keys=True))
-        return 0
-
-    raise AssertionError(f"unhandled command {args.command!r}")
+    profile = QUICK_PROFILE if args.quick else FULL_PROFILE
+    record = benchmark(
+        jobs=args.jobs, profile=profile, out=args.out, schemes=args.schemes
+    )
+    print(json.dumps(record, indent=2, sort_keys=True))
+    return 0
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -111,7 +111,7 @@ def run_cohorts(
     the engine's point is that one core suffices.
     """
     from repro.cohort import CohortSimulation
-    from repro.cohort.oracle import oracle_params
+    from repro.oracle import oracle_params
     from repro.experiments.schemes import scheme_factory
 
     quick = profile is QUICK_PROFILE

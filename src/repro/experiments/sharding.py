@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.experiments.runner import ExperimentProfile, FULL_PROFILE
 from repro.experiments.schemes import scheme_factory
-from repro.shard.oracle import contract_params
+from repro.oracle import contract_params
 from repro.shard.runtime import ShardedSimulation
 from repro.stats import names as metric_names
 

@@ -142,22 +142,6 @@ def _run_once(scenario: BenchScenario, mode: str) -> Dict[str, float]:
     return out
 
 
-def run_mode(
-    scenario: BenchScenario, mode: str, repeats: int
-) -> Dict[str, float]:
-    """Time one mode ``repeats`` times; keep the fastest run's numbers."""
-    best: Optional[Dict[str, float]] = None
-    for _ in range(max(1, repeats)):
-        sample = _run_once(scenario, mode)
-        if best is None or sample["seconds"] < best["seconds"]:
-            best = sample
-    assert best is not None
-    seconds = best["seconds"]
-    best["events_per_sec"] = best["events"] / seconds if seconds else 0.0
-    best["queries_per_sec"] = best["queries"] / seconds if seconds else 0.0
-    return best
-
-
 def run_bench(
     scenario: BenchScenario,
     repeats: int = 3,

@@ -26,7 +26,11 @@ Run as a module::
 ``--before FILE`` embeds a previously captured payload under ``before``
 and records honest speedup ratios next to the fresh numbers.
 ``--against FILE --max-regression 0.2`` turns the dispatch events/sec
-comparison into an exit code for CI.
+comparison into an exit code for CI.  A timer runs a fixed plain-Python
+loop every few milliseconds while each sample runs, the sample records
+the loop's mean time (``host_loop_ms``), and the gate compares rates
+scaled by it, so a core that runs slow for a while does not read as a
+regression.
 """
 
 from __future__ import annotations
@@ -39,9 +43,12 @@ import os
 import platform
 import pstats
 import random
+import signal
+import statistics
 import sys
 import time
-from typing import Dict, List, Optional, Sequence
+from functools import partial
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.config import DEFAULTS, ModelParameters
 from repro.obs.manifest import git_revision, package_versions
@@ -50,10 +57,90 @@ from repro.obs.manifest import git_revision, package_versions
 CLIENT_COUNTS = (1, 10, 100)
 
 
+# -- sampling: best of N, timed against the host's current speed ----------
+
+# A fixed loop of plain Python that no program change can speed up: dict
+# lookups, list stores and integer arithmetic on a working set made once,
+# so it never allocates.  On a shared host a core's speed swings by up to
+# 1.7x within milliseconds; a stretch that ran on a slow core has a slow
+# loop too, so rate x loop time compares across runs where raw rates do
+# not.  The loop must run *while* a sample runs: timed only before and
+# after a 50 ms sample, it does not track the core the sample ran on.
+_LOOP_SIZE = 512
+_LOOP_TABLE = list(range(_LOOP_SIZE))
+_LOOP_INDEX = {i: (i * 7) % _LOOP_SIZE for i in range(_LOOP_SIZE)}
+
+#: Seconds between runs of the loop while a sample is taken.
+LOOP_INTERVAL = 0.002
+
+
+def _host_loop() -> None:
+    table, index = _LOOP_TABLE, _LOOP_INDEX
+    mask = _LOOP_SIZE - 1
+    for i in range(1200):
+        j = index[i & mask]
+        table[j] = (table[j] * 31 + i) & 0xFFFF
+
+
+class HostClock:
+    """``perf_counter`` less the time spent in the fixed loop, which
+    :meth:`tick` runs and records (host ms) in ``loops``."""
+
+    def __init__(self) -> None:
+        self.spent = 0.0
+        self.loops: List[float] = []
+
+    def now(self) -> float:
+        return time.perf_counter() - self.spent
+
+    def tick(self, *_signal: object) -> None:
+        start = time.perf_counter()
+        _host_loop()
+        took = time.perf_counter() - start
+        self.spent += took
+        self.loops.append(1e3 * took)
+
+
+def best_of(
+    repeats: int, **lanes: Callable[..., Dict[str, float]]
+) -> Dict[str, Dict[str, float]]:
+    """Each lane's fastest of ``repeats`` samples (by ``seconds``).
+
+    Lanes alternate within every round, so twins measured for an
+    in-process ratio bracket the same noise window.  While a lane runs,
+    a timer runs the fixed loop every :data:`LOOP_INTERVAL` seconds; the
+    lane times itself with ``clock``, which leaves that time out, and
+    its sample records ``host_loop_ms``, the harmonic mean of the loop
+    times (the host's speed averaged over the sample's wall time).
+    Uses ``SIGALRM``, so it runs on the main thread only.
+    """
+    best: Dict[str, Dict[str, float]] = {}
+    host = HostClock()
+    previous = signal.signal(signal.SIGALRM, host.tick)
+    try:
+        for _ in range(max(1, repeats)):
+            for label, lane in lanes.items():
+                host.loops = []
+                host.tick()
+                signal.setitimer(signal.ITIMER_REAL, LOOP_INTERVAL, LOOP_INTERVAL)
+                try:
+                    sample = lane(clock=host.now)
+                finally:
+                    signal.setitimer(signal.ITIMER_REAL, 0)
+                sample["host_loop_ms"] = statistics.harmonic_mean(host.loops)
+                if label not in best or sample["seconds"] < best[label]["seconds"]:
+                    best[label] = sample
+    finally:
+        signal.signal(signal.SIGALRM, previous)
+    return best
+
+
 # -- dispatch: the bare engine ---------------------------------------------
 
 
-def _dispatch_once(processes: int, hops: int) -> Dict[str, float]:
+def _dispatch_once(
+    processes: int, hops: int, clock: Callable[[], float] = time.perf_counter
+) -> Dict[str, float]:
     """Ping benchmark: ``processes`` generators each awaiting ``hops``
     timeouts with co-prime delays (so the heap stays busy and events
     interleave rather than batching at one instant)."""
@@ -68,26 +155,16 @@ def _dispatch_once(processes: int, hops: int) -> Dict[str, float]:
     for i in range(processes):
         env.process(ping(env, 1.0 + (i % 7) * 0.25))
     gc.collect()
-    start = time.perf_counter()
+    start = clock()
     env.run()
-    elapsed = time.perf_counter() - start
+    elapsed = clock() - start
     return {
         "seconds": elapsed,
         "events": float(env.events_processed),
         "events_per_sec": env.events_processed / elapsed if elapsed else 0.0,
+        "processes": float(processes),
+        "hops": float(hops),
     }
-
-
-def bench_dispatch(repeats: int, processes: int = 64, hops: int = 2000) -> Dict[str, float]:
-    best: Optional[Dict[str, float]] = None
-    for _ in range(max(1, repeats)):
-        sample = _dispatch_once(processes, hops)
-        if best is None or sample["seconds"] < best["seconds"]:
-            best = sample
-    assert best is not None
-    best["processes"] = float(processes)
-    best["hops"] = float(hops)
-    return best
 
 
 # -- programs: the per-cycle builder ---------------------------------------
@@ -99,6 +176,7 @@ def _programs_once(
     incremental: bool,
     columnar: bool = True,
     db_size: Optional[int] = None,
+    clock: Callable[[], float] = time.perf_counter,
 ) -> Dict[str, float]:
     """Time ``cycles`` builder invocations while a real engine advances
     the database between them (the server loop minus the channel).
@@ -133,9 +211,9 @@ def _programs_once(
     outcome = None
     built = 0.0
     for cycle in range(1, cycles + 1):
-        start = time.perf_counter()
+        start = clock()
         builder.build(cycle, outcome)
-        built += time.perf_counter() - start
+        built += clock() - start
         outcome = engine.run_cycle(cycle)
     return {
         "seconds": built,
@@ -147,65 +225,32 @@ def _programs_once(
 def bench_programs(
     repeats: int, cycles: int = 120, bigdb_size: int = 100_000
 ) -> Dict[str, object]:
+    # Each columnar lane runs right next to its dict-reference twin in
+    # every round, so the in-process ratio (the CI columnar-regression
+    # gate) brackets the same noise window.  The full-rebuild lanes run
+    # the same build loop with the persistent index switched off, so the
+    # copy-on-write win is measured, not asserted.  ``bigdb`` is the
+    # item-count scale lane the columnar store unlocks: overflow builds
+    # over a 10^5-item database.
+    lanes = {}
+    for label, organization in (("flat", None), ("overflow", "overflow")):
+        build = partial(_programs_once, cycles, organization)
+        lanes[label] = partial(build, incremental=True)
+        lanes[f"{label}_dict"] = partial(build, incremental=True, columnar=False)
+        lanes[f"{label}_full_rebuild"] = partial(build, incremental=False)
+    lanes["clustered"] = partial(
+        _programs_once, cycles, "clustered", incremental=True
+    )
+    bigdb = partial(
+        _programs_once, max(6, cycles // 10), "overflow", incremental=True,
+        db_size=bigdb_size,
+    )
+    lanes["bigdb"] = bigdb
+    lanes["bigdb_dict"] = partial(bigdb, columnar=False)
     out: Dict[str, object] = {"cycles": cycles}
-    variants = [("flat", None), ("overflow", "overflow"), ("clustered", "clustered")]
-    # The columnar lane and its dict-reference twin alternate within
-    # every repeat round, so the in-process ratio (the CI
-    # columnar-regression gate) brackets the same noise window — a CPU
-    # spike landing on one lane's consecutive repeats would otherwise
-    # fake a regression either way.
-    for label, organization in variants[:2]:
-        best: Optional[Dict[str, float]] = None
-        best_dict: Optional[Dict[str, float]] = None
-        for _ in range(max(1, repeats)):
-            sample = _programs_once(cycles, organization, incremental=True)
-            if best is None or sample["seconds"] < best["seconds"]:
-                best = sample
-            twin = _programs_once(
-                cycles, organization, incremental=True, columnar=False
-            )
-            if best_dict is None or twin["seconds"] < best_dict["seconds"]:
-                best_dict = twin
-        out[label] = best
-        out[f"{label}_dict"] = best_dict
-    best = None
-    for _ in range(max(1, repeats)):
-        sample = _programs_once(cycles, "clustered", incremental=True)
-        if best is None or sample["seconds"] < best["seconds"]:
-            best = sample
-    out["clustered"] = best
-    # The same build loop with the persistent index switched off: the
-    # copy-on-write win is measured against the full rebuild, on the
-    # same machine, in the same process.
-    for label, organization in variants[:2]:
-        best = None
-        for _ in range(max(1, repeats)):
-            sample = _programs_once(cycles, organization, incremental=False)
-            if best is None or sample["seconds"] < best["seconds"]:
-                best = sample
-        out[f"{label}_full_rebuild"] = best
-    # The item-count scale lane the columnar store unlocks (ROADMAP
-    # item 4): overflow builds over a 10^5-item database, columnar and
-    # dict reference alternating round by round.
-    bigdb_cycles = max(6, cycles // 10)
-    best = None
-    best_dict: Optional[Dict[str, float]] = None
-    for _ in range(max(1, repeats)):
-        sample = _programs_once(
-            bigdb_cycles, "overflow", incremental=True, db_size=bigdb_size
-        )
-        if best is None or sample["seconds"] < best["seconds"]:
-            best = sample
-        twin = _programs_once(
-            bigdb_cycles, "overflow", incremental=True, columnar=False,
-            db_size=bigdb_size,
-        )
-        if best_dict is None or twin["seconds"] < best_dict["seconds"]:
-            best_dict = twin
-    out["bigdb"] = best
-    out["bigdb"]["db_size"] = float(bigdb_size)
-    out["bigdb_dict"] = best_dict
-    out["bigdb_dict"]["db_size"] = float(bigdb_size)
+    out.update(best_of(repeats, **lanes))
+    for label in ("bigdb", "bigdb_dict"):
+        out[label]["db_size"] = float(bigdb_size)
     return out
 
 
@@ -213,7 +258,10 @@ def bench_programs(
 
 
 def _codec_once(
-    cycles: int, organization: Optional[str], sgt: bool = False
+    cycles: int,
+    organization: Optional[str],
+    sgt: bool = False,
+    clock: Callable[[], float] = time.perf_counter,
 ) -> Dict[str, float]:
     """Time encode + decode of real builder programs: the per-cycle wire
     work of the live serving mode (`repro.live`), measured against the
@@ -238,13 +286,13 @@ def _codec_once(
     wire_bytes = 0
     for cycle in range(1, cycles + 1):
         program = builder.build(cycle, outcome)
-        start = time.perf_counter()
+        start = clock()
         frames = codec.encode_cycle(program, 0)
-        encoding += time.perf_counter() - start
+        encoding += clock() - start
         wire_bytes += sum(len(frame) for frame in frames)
-        start = time.perf_counter()
+        start = clock()
         codec.decode_cycle(frames)
-        decoding += time.perf_counter() - start
+        decoding += clock() - start
         outcome = engine.run_cycle(cycle)
     return {
         "seconds": encoding,
@@ -260,18 +308,14 @@ def bench_codec(repeats: int, cycles: int = 60) -> Dict[str, object]:
     mode airs: flat (invalidation), overflow multiversion, and the
     SGT-augmented control segment."""
     out: Dict[str, object] = {"cycles": cycles}
-    variants = [
-        ("flat", None, False),
-        ("overflow", "overflow", False),
-        ("sgt", None, True),
-    ]
-    for label, organization, needs_sgt in variants:
-        best: Optional[Dict[str, float]] = None
-        for _ in range(max(1, repeats)):
-            sample = _codec_once(cycles, organization, sgt=needs_sgt)
-            if best is None or sample["seconds"] < best["seconds"]:
-                best = sample
-        out[label] = best
+    out.update(
+        best_of(
+            repeats,
+            flat=partial(_codec_once, cycles, None),
+            overflow=partial(_codec_once, cycles, "overflow"),
+            sgt=partial(_codec_once, cycles, None, sgt=True),
+        )
+    )
     return out
 
 
@@ -287,8 +331,27 @@ def _clients_params(num_clients: int, cycles: int) -> ModelParameters:
     )
 
 
+def _kernel_run(sim, clock: Callable[[], float], **fields: float) -> Dict[str, float]:
+    """Time one kernel-driven run: events and cycles per second."""
+    gc.collect()
+    start = clock()
+    result = sim.run()
+    elapsed = clock() - start
+    return {
+        "seconds": elapsed,
+        "events": float(sim.env.events_processed),
+        "cycles": float(result.cycles_completed),
+        "events_per_sec": sim.env.events_processed / elapsed if elapsed else 0.0,
+        "cycles_per_sec": result.cycles_completed / elapsed if elapsed else 0.0,
+        **fields,
+    }
+
+
 def _clients_once(
-    num_clients: int, cycles: int, columnar: bool = True
+    num_clients: int,
+    cycles: int,
+    columnar: bool = True,
+    clock: Callable[[], float] = time.perf_counter,
 ) -> Dict[str, float]:
     from repro.experiments.schemes import scheme_factory
     from repro.runtime import Simulation
@@ -298,48 +361,33 @@ def _clients_once(
         scheme_factory=scheme_factory("inval"),
         columnar=columnar,
     )
-    gc.collect()
-    start = time.perf_counter()
-    result = sim.run()
-    elapsed = time.perf_counter() - start
-    return {
-        "seconds": elapsed,
-        "events": float(sim.env.events_processed),
-        "cycles": float(result.cycles_completed),
-        "events_per_sec": sim.env.events_processed / elapsed if elapsed else 0.0,
-        "cycles_per_sec": result.cycles_completed / elapsed if elapsed else 0.0,
-    }
+    return _kernel_run(sim, clock)
 
 
-def bench_clients(repeats: int, cycles: int = 60) -> Dict[str, Dict[str, float]]:
+def bench_clients(
+    repeats: int, cycles: int = 60, gated_cycles: int = 60
+) -> Dict[str, Dict[str, float]]:
+    """End-to-end runs at each client count; the 10-client lane, which
+    the baseline gate checks, and its twin run ``gated_cycles``."""
     out: Dict[str, Dict[str, float]] = {}
     for count in CLIENT_COUNTS:
-        best: Optional[Dict[str, float]] = None
-        best_dict: Optional[Dict[str, float]] = None
-        # The 100-client point is the slow one; one repeat is plenty there.
-        rounds = max(1, repeats if count < 100 else 1)
-        for _ in range(rounds):
-            sample = _clients_once(count, cycles)
-            if best is None or sample["seconds"] < best["seconds"]:
-                best = sample
-            if count == 10:
-                # The dict-reference twin alternates with the columnar
-                # lane so the in-process end-to-end comparison brackets
-                # the same noise window (same rationale as the program
-                # lanes).
-                twin = _clients_once(10, cycles, columnar=False)
-                if best_dict is None or twin["seconds"] < best_dict["seconds"]:
-                    best_dict = twin
-        out[str(count)] = best
+        length = gated_cycles if count == 10 else cycles
+        lanes = {str(count): partial(_clients_once, count, length)}
         if count == 10:
-            out["10_dict"] = best_dict
+            # The dict-reference twin alternates with the columnar lane
+            # (same rationale as the program lanes).
+            lanes["10_dict"] = partial(_clients_once, 10, length, columnar=False)
+        # The 100-client point is the slow one; one repeat is plenty there.
+        out.update(best_of(repeats if count < 100 else 1, **lanes))
     return out
 
 
 # -- cohort: the population engine -----------------------------------------
 
 
-def _cohort_once(num_clients: int, cycles: int) -> Dict[str, float]:
+def _cohort_once(
+    num_clients: int, cycles: int, clock: Callable[[], float] = time.perf_counter
+) -> Dict[str, float]:
     """One cohort-engine run at ``num_clients``: the same workload as the
     ``clients`` suite, advanced client-major instead of through the
     kernel heap.  ``steps`` (generator resumptions) is the cohort
@@ -352,9 +400,9 @@ def _cohort_once(num_clients: int, cycles: int) -> Dict[str, float]:
         scheme_factory=scheme_factory("inval"),
     )
     gc.collect()
-    start = time.perf_counter()
+    start = clock()
     result = sim.run()
-    elapsed = time.perf_counter() - start
+    elapsed = clock() - start
     return {
         "seconds": elapsed,
         "clients": float(num_clients),
@@ -365,22 +413,15 @@ def _cohort_once(num_clients: int, cycles: int) -> Dict[str, float]:
     }
 
 
-def bench_cohort(
-    repeats: int, num_clients: int = 1000, cycles: int = 60
-) -> Dict[str, float]:
-    best: Optional[Dict[str, float]] = None
-    for _ in range(max(1, repeats)):
-        sample = _cohort_once(num_clients, cycles)
-        if best is None or sample["seconds"] < best["seconds"]:
-            best = sample
-    assert best is not None
-    return best
-
-
 # -- shard: the multi-channel server ----------------------------------------
 
 
-def _shard_once(num_shards: int, num_clients: int, cycles: int) -> Dict[str, float]:
+def _shard_once(
+    num_shards: int,
+    num_clients: int,
+    cycles: int,
+    clock: Callable[[], float] = time.perf_counter,
+) -> Dict[str, float]:
     """One sharded run: the ``clients`` workload on the K-channel server.
 
     At K=1 the sharded runtime is bit-identical to the single-channel
@@ -395,18 +436,7 @@ def _shard_once(num_shards: int, num_clients: int, cycles: int) -> Dict[str, flo
         scheme_factory("inval"),
         num_shards=num_shards,
     )
-    gc.collect()
-    start = time.perf_counter()
-    result = sim.run()
-    elapsed = time.perf_counter() - start
-    return {
-        "seconds": elapsed,
-        "shards": float(num_shards),
-        "events": float(sim.env.events_processed),
-        "cycles": float(result.cycles_completed),
-        "events_per_sec": sim.env.events_processed / elapsed if elapsed else 0.0,
-        "cycles_per_sec": result.cycles_completed / elapsed if elapsed else 0.0,
-    }
+    return _kernel_run(sim, clock, shards=float(num_shards))
 
 
 def bench_shard(
@@ -414,18 +444,14 @@ def bench_shard(
 ) -> Dict[str, object]:
     """K=1 (seam-overhead lane) and K=4 (multi-channel lane), plus the
     single-channel run the K=1 lane is priced against."""
-    out: Dict[str, object] = {}
-    for label, thunk in (
-        ("single", lambda: _clients_once(num_clients, cycles)),
-        ("k1", lambda: _shard_once(1, num_clients, cycles)),
-        ("k4", lambda: _shard_once(4, num_clients, cycles)),
-    ):
-        best: Optional[Dict[str, float]] = None
-        for _ in range(max(1, repeats)):
-            sample = thunk()
-            if best is None or sample["seconds"] < best["seconds"]:
-                best = sample
-        out[label] = best
+    out: Dict[str, object] = dict(
+        best_of(
+            repeats,
+            single=partial(_clients_once, num_clients, cycles),
+            k1=partial(_shard_once, 1, num_clients, cycles),
+            k4=partial(_shard_once, 4, num_clients, cycles),
+        )
+    )
     single = out["single"]["seconds"]
     if single:
         out["k1_overhead"] = round(out["k1"]["seconds"] / single - 1.0, 4)
@@ -483,12 +509,15 @@ def run_suite(
         if progress is not None:
             progress(message)
 
-    hops = 400 if quick else 2000
+    # Quick mode shrinks only the lanes no baseline gate checks: the
+    # dispatch, 10-client and codec lanes that --against gates keep their
+    # full length, as a ~50 ms sample swings past +-20 % on a host whose
+    # core speed does.
     cycles = 30 if quick else 120
     client_cycles = 20 if quick else 60
 
     say("dispatch: engine ping ...")
-    dispatch = bench_dispatch(repeats, hops=hops)
+    dispatch = best_of(repeats, lane=partial(_dispatch_once, 64, 2000))["lane"]
     say(f"  {dispatch['events_per_sec']:,.0f} events/s")
     say("programs: builder loop (columnar + dict reference + bigdb) ...")
     programs = bench_programs(
@@ -508,7 +537,8 @@ def run_suite(
             f"{sample['events_per_sec']:,.0f} events/s"
         )
     say("cohort: population engine ...")
-    cohort = bench_cohort(repeats, cycles=client_cycles)
+    cohort = best_of(repeats, lane=partial(_cohort_once, 1000, client_cycles))
+    cohort = cohort["lane"]
     say(
         f"  {cohort['clients']:,.0f} clients: "
         f"{cohort['clients_per_sec']:,.0f} clients/s  "
@@ -521,7 +551,7 @@ def run_suite(
         f"K=4 {shard['k4']['events_per_sec']:,.0f} events/s"
     )
     say("codec: live wire format encode/decode ...")
-    codec = bench_codec(repeats, cycles=client_cycles)
+    codec = bench_codec(repeats)
     say(
         f"  flat {codec['flat']['encodes_per_sec']:,.1f} enc/s  "
         f"overflow {codec['overflow']['encodes_per_sec']:,.1f} enc/s  "
@@ -549,50 +579,58 @@ def run_suite(
     }
 
 
-def _rate(payload: Dict[str, object], *path: str) -> Optional[float]:
-    node: object = payload
-    for key in path:
+def _rate(payload: Dict[str, object], path: str) -> Optional[float]:
+    """The number at dotted ``path`` under ``payload["suites"]``, if any."""
+    node: object = payload.get("suites")
+    for key in path.split("."):
         if not isinstance(node, dict) or key not in node:
             return None
         node = node[key]
     return float(node) if isinstance(node, (int, float)) else None
 
 
+#: Rates recorded as after/before speedups by ``--before``.
+SPEEDUP_RATES = {
+    "dispatch_events_per_sec": "dispatch.events_per_sec",
+    "programs_flat_builds_per_sec": "programs.flat.builds_per_sec",
+    "programs_overflow_builds_per_sec": "programs.overflow.builds_per_sec",
+    **{
+        f"clients_{count}_events_per_sec": f"clients.{count}.events_per_sec"
+        for count in CLIENT_COUNTS
+    },
+    "clients_10_cycles_per_sec": "clients.10.cycles_per_sec",
+    "cohort_clients_per_sec": "cohort.clients_per_sec",
+    "shard_k4_events_per_sec": "shard.k4.events_per_sec",
+    "codec_flat_encodes_per_sec": "codec.flat.encodes_per_sec",
+    "codec_overflow_encodes_per_sec": "codec.overflow.encodes_per_sec",
+}
+
+#: Columnar lanes and the dict-reference twin each is gated against.
+COLUMNAR_TWINS = {
+    "flat builds/sec": ("programs.flat", "programs.flat_dict", "builds_per_sec"),
+    "overflow builds/sec": (
+        "programs.overflow", "programs.overflow_dict", "builds_per_sec"
+    ),
+    "bigdb builds/sec": ("programs.bigdb", "programs.bigdb_dict", "builds_per_sec"),
+    "10-client cycles/sec": ("clients.10", "clients.10_dict", "cycles_per_sec"),
+}
+
+#: Lanes gated against a committed baseline.  Codec lanes skip cleanly
+#: against baselines without codec entries (a missing rate is no failure).
+BASELINE_GATES = {
+    "dispatch events/sec": "dispatch.events_per_sec",
+    "10-client events/sec": "clients.10.events_per_sec",
+    "codec flat encodes/sec": "codec.flat.encodes_per_sec",
+    "codec overflow encodes/sec": "codec.overflow.encodes_per_sec",
+}
+
+
 def attach_before(payload: Dict[str, object], before: Dict[str, object]) -> None:
     """Embed ``before`` and record after/before speedup ratios."""
     payload["before"] = before
     speedups: Dict[str, float] = {}
-    comparisons = [
-        ("dispatch_events_per_sec", ("suites", "dispatch", "events_per_sec")),
-        (
-            "programs_flat_builds_per_sec",
-            ("suites", "programs", "flat", "builds_per_sec"),
-        ),
-        (
-            "programs_overflow_builds_per_sec",
-            ("suites", "programs", "overflow", "builds_per_sec"),
-        ),
-    ] + [
-        (
-            f"clients_{count}_events_per_sec",
-            ("suites", "clients", str(count), "events_per_sec"),
-        )
-        for count in CLIENT_COUNTS
-    ] + [
-        (
-            "clients_10_cycles_per_sec",
-            ("suites", "clients", "10", "cycles_per_sec"),
-        ),
-        ("cohort_clients_per_sec", ("suites", "cohort", "clients_per_sec")),
-        ("shard_k4_events_per_sec", ("suites", "shard", "k4", "events_per_sec")),
-        ("codec_flat_encodes_per_sec", ("suites", "codec", "flat", "encodes_per_sec")),
-        (
-            "codec_overflow_encodes_per_sec",
-            ("suites", "codec", "overflow", "encodes_per_sec"),
-        ),
-    ]
-    for label, path in comparisons:
-        now, then = _rate(payload, *path), _rate(before, *path)
+    for label, path in SPEEDUP_RATES.items():
+        now, then = _rate(payload, path), _rate(before, path)
         if now is not None and then:
             speedups[label] = round(now / then, 4)
     payload["speedup_vs_before"] = speedups
@@ -606,30 +644,8 @@ def columnar_regressions(
     measured back-to-back in the same process (machine-independent).
     Returns the violated checks (empty = pass)."""
     failures: List[str] = []
-    pairs = [
-        (
-            "flat builds/sec",
-            ("suites", "programs", "flat", "builds_per_sec"),
-            ("suites", "programs", "flat_dict", "builds_per_sec"),
-        ),
-        (
-            "overflow builds/sec",
-            ("suites", "programs", "overflow", "builds_per_sec"),
-            ("suites", "programs", "overflow_dict", "builds_per_sec"),
-        ),
-        (
-            "bigdb builds/sec",
-            ("suites", "programs", "bigdb", "builds_per_sec"),
-            ("suites", "programs", "bigdb_dict", "builds_per_sec"),
-        ),
-        (
-            "10-client cycles/sec",
-            ("suites", "clients", "10", "cycles_per_sec"),
-            ("suites", "clients", "10_dict", "cycles_per_sec"),
-        ),
-    ]
-    for label, now_path, ref_path in pairs:
-        now, ref = _rate(payload, *now_path), _rate(payload, *ref_path)
+    for label, (lane, twin, rate) in COLUMNAR_TWINS.items():
+        now, ref = _rate(payload, f"{lane}.{rate}"), _rate(payload, f"{twin}.{rate}")
         if now is None or not ref:
             continue
         floor = ref * (1.0 - max_regression)
@@ -648,27 +664,32 @@ def compare_against(
 ) -> List[str]:
     """CI gate: the dispatch and end-to-end events/sec must not fall more
     than ``max_regression`` below the committed baseline.  Returns the
-    list of violated checks (empty = pass)."""
+    list of violated checks (empty = pass).
+
+    Rates are compared scaled by each sample's ``host_loop_ms`` -- events
+    per run of the fixed host loop -- so a host running slower or faster
+    than when the baseline was taken is not read as a code change.  A
+    baseline rate without its loop time is refused, not compared raw.
+    """
     failures: List[str] = []
-    for label, path in (
-        ("dispatch events/sec", ("suites", "dispatch", "events_per_sec")),
-        ("10-client events/sec", ("suites", "clients", "10", "events_per_sec")),
-        # Codec lanes skip cleanly against pre-live baselines (missing
-        # entries are not failures), so old payloads stay valid gates.
-        ("codec flat encodes/sec", ("suites", "codec", "flat", "encodes_per_sec")),
-        (
-            "codec overflow encodes/sec",
-            ("suites", "codec", "overflow", "encodes_per_sec"),
-        ),
-    ):
-        now, then = _rate(payload, *path), _rate(baseline, *path)
+    for label, path in BASELINE_GATES.items():
+        now, then = _rate(payload, path), _rate(baseline, path)
         if now is None or not then:
             continue
+        loop = path.rsplit(".", 1)[0] + ".host_loop_ms"
+        now_loop, then_loop = _rate(payload, loop), _rate(baseline, loop)
+        if not now_loop or not then_loop:
+            failures.append(
+                f"{label}: the baseline has no host_loop_ms to scale its "
+                "rate by; regenerate it with this version of the suite"
+            )
+            continue
+        now, then = now * now_loop / 1e3, then * then_loop / 1e3
         floor = then * (1.0 - max_regression)
         if now < floor:
             failures.append(
-                f"{label} regressed: {now:,.0f} < {floor:,.0f} "
-                f"(baseline {then:,.0f}, allowed -{max_regression:.0%})"
+                f"{label} regressed: {now:,.1f} < {floor:,.1f} per host "
+                f"loop (baseline {then:,.1f}, allowed -{max_regression:.0%})"
             )
     return failures
 

@@ -5,8 +5,9 @@ server substrate (cycle, control information, version store, retention
 tuning); clients tune to exactly the shards their readset can touch.
 Cross-shard read consistency comes in two modes -- shard-local
 guarantees with a global cycle-epoch stamp, or the epoch-aligned
-currency discipline -- and :mod:`repro.shard.oracle` differentially
-verifies both, plus bit-identity of K=1 with the single-channel server.
+currency discipline -- and the ``shard`` suite of :mod:`repro.oracle`
+differentially verifies both, plus bit-identity of K=1 with the
+single-channel server.
 """
 
 from repro.shard.client import CrossShardQueryShaper, ShardedClient

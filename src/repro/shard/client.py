@@ -10,7 +10,7 @@ listening state.
 
 With exactly one subscribed shard every override delegates straight to
 the base class, so a K=1 sharded simulation is *bit-identical* to the
-single-channel simulation (the oracle in :mod:`repro.shard.oracle`
+single-channel simulation (the ``shard`` suite of :mod:`repro.oracle`
 enforces this).
 """
 

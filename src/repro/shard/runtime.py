@@ -23,7 +23,7 @@ event creations, metric observations and trace emissions of
 :class:`~repro.runtime.Simulation` -- both build their server from one
 :class:`~repro.server.stack.ServerStack` and share
 :class:`~repro.runtime.KernelSimulation` -- so results are
-bit-identical; :mod:`repro.shard.oracle` enforces this differentially.
+bit-identical; the ``shard`` suite of :mod:`repro.oracle` enforces this.
 """
 
 from __future__ import annotations

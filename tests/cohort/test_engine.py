@@ -8,9 +8,9 @@ import pytest
 
 from repro.client.disconnect import RandomDisconnections
 from repro.cohort import CohortSimulation
-from repro.cohort.oracle import oracle_params, registry_delta, result_delta
 from repro.core.control import ReportSchedule
 from repro.experiments.schemes import scheme_factory
+from repro.oracle import oracle_params, registry_delta, result_delta
 from repro.runtime import Simulation
 
 

@@ -1,15 +1,15 @@
 """The differential oracle as a pytest matrix: cohort == discrete, exactly.
 
-The full matrix (``python -m repro.cohort.oracle``) runs 150 cells; this
+The full matrix (``python -m repro.oracle cohort``) runs 150 cells; this
 suite pins a representative slice into tier-1 so a regression in either
 engine fails the ordinary test run, not just the dedicated CI job.
 """
 
 import pytest
 
-from repro.cohort.oracle import (
+from repro.oracle import (
     DEFAULT_SCHEMES,
-    compare_cell,
+    compare_cohort_cell,
     oracle_params,
     registry_delta,
 )
@@ -22,14 +22,14 @@ from repro.runtime import Simulation
 @pytest.mark.parametrize("faults", [False, True], ids=["clean", "faults"])
 @pytest.mark.parametrize("clients", [1, 4])
 def test_cell_exact(scheme, faults, clients):
-    report = compare_cell(scheme, clients, seed=7, faults=faults, num_cycles=20)
+    report = compare_cohort_cell(scheme, clients, seed=7, faults=faults, num_cycles=20)
     assert report["mismatches"] == []
 
 
 @pytest.mark.parametrize("seed", [11, 23])
 def test_cell_exact_across_seeds(seed):
     """Seed sensitivity: the equality is per-seed, not on-average."""
-    report = compare_cell(
+    report = compare_cohort_cell(
         "multiversion+cache", clients=4, seed=seed, faults=True, num_cycles=20
     )
     assert report["mismatches"] == []
@@ -37,7 +37,7 @@ def test_cell_exact_across_seeds(seed):
 
 def test_cell_exact_wider_population():
     """N=16 crosses several cohort chunks when cohort_size is small."""
-    report = compare_cell(
+    report = compare_cohort_cell(
         "inval+cache", clients=16, seed=7, faults=True, num_cycles=20,
         cohort_size=5,
     )
@@ -45,15 +45,25 @@ def test_cell_exact_wider_population():
 
 
 def test_registry_delta_reports_disagreements():
-    """The oracle's diff is trustworthy: perturbing one counter on an
-    otherwise-identical pair of runs yields exactly one mismatch."""
+    """The oracle's diff is trustworthy: perturbing one counter, one
+    ratio and one sampler on an otherwise-identical pair of runs yields
+    exactly one mismatch of each kind."""
     params = oracle_params(2, seed=7, faults=False, num_cycles=10)
     factory = scheme_factory("inval")
     a = Simulation(params, scheme_factory=factory).run()
     b = CohortSimulation(params, scheme_factory=factory).run()
     assert registry_delta(a.metrics, b.metrics) == []
+    ratio = next(name for name, _ in b.metrics.ratios())
+    sampler = next(name for name, _ in b.metrics.samplers())
     b.metrics.counter("client.commits").increment()
+    b.metrics.ratio(ratio).record(True)
+    b.metrics.sampler(sampler).add(0.0)
     delta = registry_delta(a.metrics, b.metrics)
-    assert len(delta) == 1
-    assert delta[0]["metric"] == "client.commits"
-    assert delta[0]["kind"] == "counter"
+    assert [(d["kind"], d["metric"]) for d in delta] == [
+        ("counter", "client.commits"),
+        ("ratio", ratio),
+        ("sampler", sampler),
+    ]
+    before = a.metrics.get_ratio(ratio)
+    assert delta[1]["cohort"] == (before.hits + 1, before.total + 1)
+    assert delta[2]["cohort"][0] == delta[2]["discrete"][0] + 1

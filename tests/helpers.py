@@ -16,6 +16,7 @@ from repro.config import ModelParameters
 from repro.core.base import Scheme
 from repro.core.transaction import ReadOnlyTransaction, TransactionStatus
 from repro.experiments.runner import ExperimentProfile
+from repro.oracle import SMOKE_PARAMS, contention_params
 from repro.runtime import Simulation
 from repro.verify import (  # noqa: F401 -- re-exported for tests
     check_transaction,
@@ -25,21 +26,9 @@ from repro.verify import (  # noqa: F401 -- re-exported for tests
     violations,
 )
 
-#: The standard tiny world most integration tests simulate: 100 items,
-#: 10 buckets per cycle, moderate update pressure.
-SMALL_WORLD = (
-    ModelParameters()
-    .with_server(
-        broadcast_size=100,
-        update_range=50,
-        offset=10,
-        updates_per_cycle=10,
-        transactions_per_cycle=5,
-        items_per_bucket=10,
-        retention=12,
-    )
-    .with_client(read_range=40, ops_per_query=4, think_time=0.5, cache_size=20)
-)
+#: The standard tiny world most integration tests simulate (100 items,
+#: 10 buckets per cycle, moderate update pressure): the parallel oracle's.
+SMALL_WORLD = SMOKE_PARAMS
 
 #: A matching one-seed experiment profile for harness tests.
 TINY_PROFILE = ExperimentProfile(
@@ -55,31 +44,14 @@ def make_oracle_params(
     num_cycles: int = 25,
     num_clients: int = 2,
 ) -> ModelParameters:
-    """An even smaller, higher-contention world for oracle replays."""
+    """An even smaller, higher-contention world for oracle replays: the
+    recovery oracle's (:func:`repro.oracle.contention_params`), shortened
+    to 25 cycles and 2 clients by default, with the contention knobs the
+    serializability and fault oracle tests vary."""
     return (
-        ModelParameters()
-        .with_server(
-            broadcast_size=60,
-            update_range=30,
-            offset=offset,
-            updates_per_cycle=updates,
-            transactions_per_cycle=3,
-            items_per_bucket=6,
-            retention=10,
-        )
-        .with_client(
-            read_range=30,
-            ops_per_query=ops,
-            think_time=0.5,
-            cache_size=15,
-            max_attempts=4,
-        )
-        .with_sim(
-            num_cycles=num_cycles,
-            warmup_cycles=2,
-            seed=seed,
-            num_clients=num_clients,
-        )
+        contention_params(seed, num_cycles=num_cycles, num_clients=num_clients)
+        .with_server(offset=offset, updates_per_cycle=updates)
+        .with_client(ops_per_query=ops)
     )
 
 

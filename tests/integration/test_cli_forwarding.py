@@ -124,25 +124,29 @@ def test_experiments_forwards_every_flag(monkeypatch):
 
 
 def test_experiments_check_forwards_to_the_parallel_oracle(monkeypatch):
-    from repro.experiments import parallel
+    from repro import oracle
 
-    calls = _capture(monkeypatch, parallel)
+    calls = _capture(monkeypatch, oracle)
     code = main(
         [
-            "experiments", "fig5",
+            "experiments", "fig6",
             "--check",
             "--jobs", "4",
             "--artifacts", "outdir",
         ]
     )
     assert code == 0
-    assert calls == [["check", "--jobs", "4", "--artifacts", "outdir", "fig5"]]
+    assert calls == [["parallel", "--jobs", "4", "--artifacts", "outdir", "fig6"]]
+    # The runner's own parser accepts the forwarded argv unchanged.
+    parsed = oracle.build_parser().parse_args(calls[0])
+    assert (parsed.suite, parsed.jobs, parsed.names) == ("parallel", 4, ["fig6"])
+    assert str(parsed.artifacts) == "outdir"
 
 
 def test_experiments_check_serial_request_still_runs_parallel_oracle(monkeypatch):
     """--check needs >= 2 workers to mean anything; the shell floors it."""
-    from repro.experiments import parallel
+    from repro import oracle
 
-    calls = _capture(monkeypatch, parallel)
+    calls = _capture(monkeypatch, oracle)
     assert main(["experiments", "--check"]) == 0
-    assert calls == [["check", "--jobs", "2"]]
+    assert calls == [["parallel", "--jobs", "2"]]

@@ -16,19 +16,20 @@ import dataclasses
 
 import pytest
 
+from repro import oracle
 from repro.experiments import fig6
-from repro.experiments.parallel import (
-    CellCache,
+from repro.experiments.parallel import CellCache, make_executor
+from repro.experiments.render import sweep_to_csv
+from repro.experiments.runner import SweepResult
+from repro.oracle import (
     SMOKE_PARAMS,
     SMOKE_PROFILE,
-    check_experiment,
-    make_executor,
-    oracle_experiments,
+    SWEEPS,
     TINY_OVERRIDES,
+    compare_sweeps,
 )
-from repro.experiments.render import sweep_to_csv
 
-EXPERIMENTS = sorted(oracle_experiments())
+EXPERIMENTS = sorted(SWEEPS)
 JOBS = (1, 2, 4)
 
 _serial_memo = {}
@@ -37,7 +38,7 @@ _serial_memo = {}
 def _serial(name):
     """Serial reference sweep, computed once per experiment."""
     if name not in _serial_memo:
-        runner = oracle_experiments()[name]
+        runner = SWEEPS[name]
         _serial_memo[name] = runner(
             profile=SMOKE_PROFILE, params=SMOKE_PARAMS, **TINY_OVERRIDES.get(name, {})
         )
@@ -45,7 +46,7 @@ def _serial(name):
 
 
 def _parallel(name, jobs):
-    runner = oracle_experiments()[name]
+    runner = SWEEPS[name]
     return runner(
         profile=SMOKE_PROFILE,
         params=SMOKE_PARAMS,
@@ -89,13 +90,36 @@ def test_parallel_output_is_byte_identical(name, jobs):
             assert dataclasses.asdict(got) == dataclasses.asdict(want)
 
 
-def test_check_experiment_agrees_with_the_suite(tmp_path):
-    """The CI entry point reports the same verdict and writes artifacts."""
-    artifacts = tmp_path / "oracle"
-    assert check_experiment("fig6", jobs=2, artifacts=str(artifacts))
-    assert (artifacts / "fig6.serial.csv").is_file()
-    assert (artifacts / "fig6.jobs2.csv").is_file()
-    assert not (artifacts / "fig6.diff").exists()
+def test_compare_sweeps_agrees_with_the_suite(tmp_path):
+    """The CI cell reports the same verdict and leaves no evidence on a
+    pass."""
+    evidence = tmp_path / "oracle"
+    report = compare_sweeps("fig6", jobs=2, evidence=evidence)
+    assert report["mismatches"] == []
+    assert not evidence.exists()
+
+
+def test_compare_sweeps_writes_evidence_on_mismatch(tmp_path, monkeypatch):
+    """A sweep whose parallel run drifts fails its cell, and both CSVs
+    plus their unified diff are left behind as evidence."""
+
+    def drifting(profile, params, executor=None):
+        sweep = SweepResult(name="drift", x_label="x", xs=[1.0], y_label="y")
+        sweep.series["s"] = [0.5 if executor is None else 0.25]
+        return sweep
+
+    monkeypatch.setattr(oracle, "SWEEPS", {"drift": drifting})
+    evidence = tmp_path / "oracle"
+    report = compare_sweeps("drift", jobs=2, evidence=evidence)
+    assert report["mismatches"] == ["-1.0,0.5", "+1.0,0.25"]
+    assert sorted(p.name for p in evidence.iterdir()) == [
+        "drift.diff",
+        "drift.jobs2.csv",
+        "drift.jobs2.manifest.json",
+        "drift.serial.csv",
+        "drift.serial.manifest.json",
+    ]
+    assert "+1.0,0.25" in (evidence / "drift.diff").read_text()
 
 
 def test_cell_cache_resume_is_pure_short_circuit(tmp_path):

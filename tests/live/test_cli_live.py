@@ -4,9 +4,9 @@ import asyncio
 import threading
 
 from repro.cli import main
-from repro.cohort.oracle import oracle_params
 from repro.experiments.schemes import scheme_factory
 from repro.live.server import LiveBroadcastServer
+from repro.oracle import oracle_params
 
 SERVE_SMALL = [
     "serve",

@@ -1,6 +1,6 @@
 """Budgeted sim-vs-live oracle cells as regression tests.
 
-The full matrix lives in ``python -m repro.live.oracle`` (the CI
+The full matrix lives in ``python -m repro.oracle live`` (the CI
 ``live-oracle`` job); these cells keep the core guarantee under the
 tier-1 suite at a small fixed cost: a loopback broadcast through the
 real codec and real sockets is *registry-identical* to its DES twin,
@@ -9,7 +9,7 @@ and the chaos lane keeps its liveness/serializability contracts.
 
 import pytest
 
-from repro.live.oracle import check_chaos_cell, compare_exact_cell
+from repro.oracle import check_chaos_cell, compare_exact_cell
 
 
 @pytest.mark.parametrize(

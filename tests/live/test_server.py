@@ -11,12 +11,12 @@ import asyncio
 
 import pytest
 
-from repro.cohort.oracle import oracle_params
 from repro.core.control import ReportSchedule
 from repro.experiments.schemes import scheme_factory
 from repro.live.clock import RealTimeClock
 from repro.live.codec import HELLO, FrameStream
 from repro.live.server import LiveBroadcastServer
+from repro.oracle import oracle_params
 
 
 def _make_server(num_cycles: int = 10, **kwargs) -> LiveBroadcastServer:

@@ -75,3 +75,23 @@ def test_hotpath_before_attaches_speedups(tmp_path):
     speedups = payload["speedup_vs_before"]
     assert speedups["dispatch_events_per_sec"] > 0
     assert speedups["programs_flat_builds_per_sec"] > 0
+
+
+def _payload(rate, loop_ms=None):
+    lane = {"events_per_sec": rate}
+    if loop_ms is not None:
+        lane["host_loop_ms"] = loop_ms
+    return {"suites": {"dispatch": lane}}
+
+
+def test_gate_scales_rates_by_the_host_loop_time():
+    # 1.5x slower on a host whose loop also takes 1.5x longer: no regression.
+    assert hotpath.compare_against(_payload(100.0, 0.3), _payload(150.0, 0.2), 0.2) == []
+    # The same drop at the same host speed is one.
+    failures = hotpath.compare_against(_payload(100.0, 0.2), _payload(150.0, 0.2), 0.2)
+    assert len(failures) == 1 and "dispatch events/sec regressed" in failures[0]
+
+
+def test_gate_refuses_a_baseline_without_host_loop_time():
+    failures = hotpath.compare_against(_payload(150.0, 0.2), _payload(100.0), 0.2)
+    assert len(failures) == 1 and "host_loop_ms" in failures[0]

@@ -19,13 +19,8 @@ import random
 
 import pytest
 
-from repro.cohort.oracle import (
-    DEFAULT_SCHEMES,
-    DEFAULT_SEEDS,
-    oracle_params,
-    registry_delta,
-    scheme_factory,
-)
+from repro.experiments.schemes import scheme_factory
+from repro.oracle import DEFAULT_SCHEMES, DEFAULT_SEEDS, oracle_params, registry_delta
 from repro.core.control import BroadcastRequirements
 from repro.runtime import Simulation
 from repro.server.broadcast import ProgramBuilder

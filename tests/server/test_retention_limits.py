@@ -12,8 +12,8 @@ rejects deep ``shard_retention`` entries the same way.
 
 import pytest
 
-from repro.cohort.oracle import oracle_params
 from repro.experiments.schemes import scheme_factory
+from repro.oracle import oracle_params
 from repro.server.database import Database, Version
 from repro.server.columnar import ColumnarVersionStore
 from repro.server.versions import VersionStore

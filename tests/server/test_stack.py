@@ -14,11 +14,11 @@ from dataclasses import replace
 
 import pytest
 
-from repro.cohort.oracle import oracle_params
 from repro.cohort.trace import build_trace
 from repro.core.control import BroadcastRequirements
 from repro.experiments.schemes import scheme_factory
 from repro.live.server import LiveBroadcastServer
+from repro.oracle import oracle_params
 from repro.runtime import Simulation
 from repro.server.backend import SingleChannelBackend
 from repro.server.stack import CycleLoop, ServerStack

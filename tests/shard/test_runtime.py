@@ -1,6 +1,6 @@
 """The sharded runtime as a pytest slice of the shard oracle.
 
-The full matrix (``python -m repro.shard.oracle``) runs ~180 cells; this
+The full matrix (``python -m repro.oracle shard``) runs ~180 cells; this
 suite pins a representative slice into tier-1: K=1 bit-identity against
 the single-channel simulator, clean consistency contracts at K>1 in
 both modes, workload apportionment invariants, and the constructor's
@@ -9,10 +9,16 @@ pointed rejections.
 
 import pytest
 
-from repro.cohort.oracle import oracle_params, registry_delta, result_delta
 from repro.experiments.schemes import scheme_factory
+from repro.oracle import (
+    check_contract_cell,
+    check_identity_cell,
+    contract_params,
+    oracle_params,
+    registry_delta,
+    result_delta,
+)
 from repro.runtime import Simulation
-from repro.shard.oracle import check_contract_cell, check_identity_cell, contract_params
 from repro.shard.runtime import ShardedSimulation
 from repro.shard.verify import sharded_violations
 from repro.stats import names as metric_names

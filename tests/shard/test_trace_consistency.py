@@ -15,7 +15,7 @@ from repro.obs.trace import (
     TraceLevel,
     Tracer,
 )
-from repro.shard.oracle import contract_params
+from repro.oracle import contract_params
 from repro.shard.runtime import ShardedSimulation
 from repro.stats import names as metric_names
 
