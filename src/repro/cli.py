@@ -14,17 +14,15 @@ Subcommands
     summary (and, with ``--verify``, replays every committed query
     against the correctness oracle).  ``--trace FILE`` records a JSONL
     event trace plus a ``FILE.manifest.json`` provenance record.
+    ``--cohorts`` and ``--shards K`` pick the mode; a flag the mode
+    cannot honour is refused by :mod:`repro.modes` (exit 2).
 ``trace``
     Analyze a recorded trace: ``summarize``, ``timeline``, ``aborts``,
     ``airtime``.
-``bench``
-    Throughput/overhead benchmark (see :mod:`repro.obs.bench`).
-``experiments``
-    Regenerate the paper's figures and tables; ``--jobs N`` shards each
-    sweep's (scheme, x, seed) cells over N worker processes with
-    byte-identical output, ``--cache DIR`` makes sweeps resumable, and
-    ``--check`` runs the parallel-vs-serial determinism oracle instead
-    (``python -m repro.oracle parallel``, see :mod:`repro.oracle`).
+``bench`` / ``experiments``
+    Hand the rest of the command line unchanged to
+    :mod:`repro.obs.bench` (``bench hotpath``: :mod:`repro.obs.hotpath`)
+    and :mod:`repro.experiments`, whose own parsers read it.
 ``serve`` / ``listen``
     Live mode (:mod:`repro.live`): air a real broadcast over TCP /
     join one as a listening client.
@@ -41,6 +39,7 @@ import argparse
 import sys
 from typing import List, Optional
 
+from repro import modes
 from repro.config import RETRY_POLICIES, ModelParameters
 from repro.core.control import ReportSchedule
 from repro.faults.presets import get_preset, preset_names
@@ -53,6 +52,57 @@ from repro.runtime import Simulation
 from repro.server.sizing import SizeModel
 from repro.shard.partition import PARTITIONERS
 from repro.shard.scheme import CONSISTENCY_MODES
+
+
+#: Subcommands whose remaining argv goes unchanged to another tool's main.
+PASS_THROUGH = {
+    "bench": (
+        "simulator throughput / tracing-overhead benchmark; `bench hotpath` "
+        "runs the per-event micro-suite (takes repro.obs.bench / "
+        "repro.obs.hotpath flags)"
+    ),
+    "experiments": (
+        "regenerate the paper's figures and tables (takes "
+        "repro.experiments flags)"
+    ),
+}
+
+
+def _model_flags() -> argparse.ArgumentParser:
+    """Server, client and simulation flags shared by ``run`` and ``serve``."""
+    model = argparse.ArgumentParser(add_help=False)
+    model.add_argument(
+        "--scheme",
+        default="sgt+cache",
+        choices=sorted(SCHEME_FACTORIES),
+        help="processing scheme (default: sgt+cache)",
+    )
+    model.add_argument("--cycles", type=int, default=120, help="broadcast cycles")
+    model.add_argument("--warmup", type=int, default=10, help="warm-up cycles")
+    model.add_argument("--clients", type=int, default=4, help="client count")
+    model.add_argument("--seed", type=int, default=42, help="RNG seed")
+    model.add_argument("--broadcast-size", type=int, default=1000, help="items (D)")
+    model.add_argument("--update-range", type=int, default=500)
+    model.add_argument("--updates", type=int, default=50, help="updates per cycle (U)")
+    model.add_argument("--offset", type=int, default=100)
+    model.add_argument("--ops", type=int, default=16, help="reads per query")
+    model.add_argument("--read-range", type=int, default=250)
+    model.add_argument("--cache-size", type=int, default=125)
+    model.add_argument("--think-time", type=float, default=2.0)
+    model.add_argument("--retention", type=int, default=16, help="S / V versions")
+    model.add_argument(
+        "--report-window", type=int, default=0, help="w-window retransmission"
+    )
+    model.add_argument(
+        "--no-columnar",
+        action="store_true",
+        help=(
+            "use the dict-backed reference item-state store instead of "
+            "the array-backed columnar store (DESIGN §14); results are "
+            "bit-identical, only the server hot path slows down"
+        ),
+    )
+    return model
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -72,31 +122,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="run one simulation")
-    run.add_argument(
-        "--scheme",
-        default="sgt+cache",
-        choices=sorted(SCHEME_FACTORIES),
-        help="processing scheme (default: sgt+cache)",
+    run = sub.add_parser(
+        "run", parents=[_model_flags()], help="run one simulation"
     )
-    run.add_argument("--cycles", type=int, default=120, help="broadcast cycles")
-    run.add_argument("--warmup", type=int, default=10, help="warm-up cycles")
-    run.add_argument("--clients", type=int, default=4, help="client count")
-    run.add_argument("--seed", type=int, default=42, help="RNG seed")
-    run.add_argument("--broadcast-size", type=int, default=1000, help="items (D)")
-    run.add_argument("--update-range", type=int, default=500)
-    run.add_argument("--updates", type=int, default=50, help="updates per cycle (U)")
-    run.add_argument("--offset", type=int, default=100)
-    run.add_argument("--ops", type=int, default=16, help="reads per query")
-    run.add_argument("--read-range", type=int, default=250)
-    run.add_argument("--cache-size", type=int, default=125)
-    run.add_argument("--think-time", type=float, default=2.0)
-    run.add_argument("--retention", type=int, default=16, help="S / V versions")
     run.add_argument(
         "--reports-per-cycle", type=int, default=1, help="sub-cycle reports (§7)"
-    )
-    run.add_argument(
-        "--report-window", type=int, default=0, help="w-window retransmission"
     )
     run.add_argument(
         "--interleaved-server",
@@ -116,18 +146,9 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--cohort-size",
         type=int,
-        default=4096,
+        default=None,
         metavar="N",
         help="clients advanced per cohort chunk (default: 4096)",
-    )
-    run.add_argument(
-        "--no-columnar",
-        action="store_true",
-        help=(
-            "use the dict-backed reference item-state store instead of "
-            "the array-backed columnar store (DESIGN §14); results are "
-            "bit-identical, only the server hot path slows down"
-        ),
     )
     shard = run.add_argument_group(
         "sharding", "partition items over K broadcast channels (see repro.shard)"
@@ -144,13 +165,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     shard.add_argument(
         "--partitioner",
-        default="hash",
+        default=None,
         choices=sorted(PARTITIONERS),
         help="item-to-shard mapping (default: hash)",
     )
     shard.add_argument(
         "--shard-consistency",
-        default="local",
+        default=None,
         choices=list(CONSISTENCY_MODES),
         help="cross-shard read consistency mode (default: local)",
     )
@@ -206,6 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     fault.add_argument(
         "--preset",
         default=None,
+        choices=preset_names(),
         metavar="NAME",
         help=(
             "named fault scenario; replaces the individual fault knobs "
@@ -341,152 +363,14 @@ def build_parser() -> argparse.ArgumentParser:
                 help="include warm-up (unmeasured) aborts",
             )
 
-    bench = sub.add_parser(
-        "bench", help="simulator throughput / tracing-overhead benchmark"
-    )
-    bench.add_argument(
-        "suite",
-        nargs="?",
-        default="overhead",
-        choices=["overhead", "hotpath"],
-        help="overhead: whole-run tracing cost (default); "
-        "hotpath: per-event kernel micro-suite (see repro.obs.hotpath)",
-    )
-    bench.add_argument("--scenario", default="fig5")
-    bench.add_argument("--repeats", type=int, default=3)
-    bench.add_argument("--out", default=None)
-    bench.add_argument("--max-overhead", type=float, default=None)
-    bench.add_argument("--trace-sample", default=None)
-    hot = bench.add_argument_group(
-        "hotpath suite", "options for `repro bench hotpath`"
-    )
-    hot.add_argument(
-        "--quick", action="store_true", help="reduced sizes for smoke runs"
-    )
-    hot.add_argument(
-        "--before",
-        default=None,
-        metavar="FILE",
-        help="embed an earlier payload and record speedup ratios",
-    )
-    hot.add_argument(
-        "--against",
-        default=None,
-        metavar="FILE",
-        help="baseline JSON for the events/sec regression gate",
-    )
-    hot.add_argument(
-        "--max-regression",
-        type=float,
-        default=0.2,
-        metavar="FRACTION",
-        help="allowed events/sec drop vs --against (default: 0.2)",
-    )
-    hot.add_argument(
-        "--max-shard-overhead",
-        type=float,
-        default=None,
-        metavar="FRACTION",
-        help="allowed K=1 sharded slowdown vs single-channel (target: 0.02)",
-    )
-    hot.add_argument(
-        "--max-columnar-regression",
-        type=float,
-        default=None,
-        metavar="FRACTION",
-        help=(
-            "allowed columnar-lane slowdown vs the dict-reference twin "
-            "(target: 0.02)"
-        ),
-    )
-    hot.add_argument(
-        "--max-before-regression",
-        type=float,
-        default=None,
-        metavar="FRACTION",
-        help="with --before: allowed drop in any recorded speedup ratio",
-    )
-    hot.add_argument(
-        "--profile-top", type=int, default=15, help="profile rows kept"
-    )
-
-    experiments = sub.add_parser(
-        "experiments", help="regenerate the paper's figures and tables"
-    )
-    experiments.add_argument(
-        "names", nargs="*", metavar="NAME", help="experiments (default: all)"
-    )
-    experiments.add_argument(
-        "--quick", action="store_true", help="reduced profile for smoke runs"
-    )
-    experiments.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker processes per sweep (0 = one per CPU, default: serial)",
-    )
-    experiments.add_argument(
-        "--cache",
-        default=None,
-        metavar="DIR",
-        help="resumable cell cache directory",
-    )
-    experiments.add_argument(
-        "--progress",
-        action="store_true",
-        help="per-cell progress and speedup lines on stderr",
-    )
-    experiments.add_argument(
-        "--preset",
-        default=None,
-        metavar="NAME",
-        help="named fault scenario for the faults experiment",
-    )
-    experiments.add_argument(
-        "--cohorts",
-        action="store_true",
-        help=(
-            "scalability experiment only: sweep the cohort engine to "
-            "10^5 clients (see repro.cohort)"
-        ),
-    )
-    experiments.add_argument(
-        "--cohort-out",
-        default=None,
-        metavar="FILE",
-        help="with --cohorts: also write the sweep as a bench JSON",
-    )
-    experiments.add_argument(
-        "--shard-out",
-        default="results/BENCH_shard.json",
-        metavar="FILE",
-        help=(
-            "sharding experiment: where to write the sweep JSON "
-            "(default: results/BENCH_shard.json; empty string disables)"
-        ),
-    )
-    experiments.add_argument(
-        "--check",
-        action="store_true",
-        help="run the parallel-vs-serial determinism oracle instead",
-    )
-    experiments.add_argument(
-        "--artifacts",
-        default=None,
-        metavar="DIR",
-        help="with --check: write failing cells' CSVs, diffs and reports here",
-    )
+    # These hand their argv to the tool's own parser unchanged (see main).
+    for name, help_text in PASS_THROUGH.items():
+        sub.add_parser(name, help=help_text, add_help=False)
 
     serve = sub.add_parser(
         "serve",
+        parents=[_model_flags()],
         help="air a live broadcast over TCP (see repro.live)",
-    )
-    serve.add_argument(
-        "--scheme",
-        default="sgt+cache",
-        choices=sorted(SCHEME_FACTORIES),
-        help="scheme whose broadcast requirements the server airs",
     )
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument(
@@ -498,28 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=0.0,
         help="wall-clock pacing per broadcast slot (0 = full speed)",
     )
-    serve.add_argument("--cycles", type=int, default=120)
-    serve.add_argument("--warmup", type=int, default=10)
-    serve.add_argument(
-        "--clients",
-        type=int,
-        default=4,
-        help="advertised population size (rides in the HELLO frame)",
-    )
-    serve.add_argument("--seed", type=int, default=42)
-    serve.add_argument("--broadcast-size", type=int, default=1000)
-    serve.add_argument("--update-range", type=int, default=500)
-    serve.add_argument("--updates", type=int, default=50)
-    serve.add_argument("--offset", type=int, default=100)
-    serve.add_argument("--retention", type=int, default=16)
-    serve.add_argument("--ops", type=int, default=16)
-    serve.add_argument("--read-range", type=int, default=250)
-    serve.add_argument("--cache-size", type=int, default=125)
-    serve.add_argument("--think-time", type=float, default=2.0)
-    serve.add_argument(
-        "--report-window", type=int, default=0, help="w-window retransmission"
-    )
-    serve.add_argument("--no-columnar", action="store_true")
 
     listen = sub.add_parser(
         "listen",
@@ -551,8 +413,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _params_from(args: argparse.Namespace) -> ModelParameters:
-    params = (
+def _model_params(args: argparse.Namespace) -> ModelParameters:
+    """The server, client and simulation flags ``run`` and ``serve`` share."""
+    return (
         ModelParameters()
         .with_server(
             broadcast_size=args.broadcast_size,
@@ -573,21 +436,24 @@ def _params_from(args: argparse.Namespace) -> ModelParameters:
             num_clients=args.clients,
             seed=args.seed,
         )
-        .with_resilience(
-            retry_policy=args.retry_policy,
-            backoff_base=args.backoff_base,
-            backoff_cap=args.backoff_cap,
-            backoff_jitter=args.backoff_jitter,
-            deadline_cycles=args.deadline,
-            watchdog_attempts=args.watchdog,
-            checkpoint_interval=args.checkpoint,
-            catchup_window=args.catchup_window,
-            crash_rate=args.crash_rate,
-            crash_length=args.crash_length,
-            degrade_after=args.degrade_after,
-            recover_after=args.recover_after,
-            seed=args.resilience_seed,
-        )
+    )
+
+
+def _params_from(args: argparse.Namespace) -> ModelParameters:
+    params = _model_params(args).with_resilience(
+        retry_policy=args.retry_policy,
+        backoff_base=args.backoff_base,
+        backoff_cap=args.backoff_cap,
+        backoff_jitter=args.backoff_jitter,
+        deadline_cycles=args.deadline,
+        watchdog_attempts=args.watchdog,
+        checkpoint_interval=args.checkpoint,
+        catchup_window=args.catchup_window,
+        crash_rate=args.crash_rate,
+        crash_length=args.crash_length,
+        degrade_after=args.degrade_after,
+        recover_after=args.recover_after,
+        seed=args.resilience_seed,
     )
     if args.preset is not None:
         return get_preset(args.preset).apply(params, args.severity)
@@ -604,7 +470,7 @@ def _params_from(args: argparse.Namespace) -> ModelParameters:
 
 
 def _result_rows(result) -> List[List[str]]:
-    """Summary-table rows shared by the discrete and cohort run paths."""
+    """Summary-table rows every run mode prints."""
     rows = [
         ["scheme", result.scheme_label],
         ["cycles", str(result.cycles_completed)],
@@ -621,35 +487,8 @@ def _result_rows(result) -> List[List[str]]:
     return rows
 
 
-def _run_cohorts(args, params, schedule) -> int:
-    """`repro run --cohorts`: cohort-engine population run."""
-    from repro.cohort import CohortSimulation
-
-    try:
-        sim = CohortSimulation(
-            params,
-            scheme_factory=scheme_factory(args.scheme),
-            report_schedule=schedule,
-            cohort_size=args.cohort_size,
-            columnar=not args.no_columnar,
-        )
-    except ValueError as error:
-        print(f"--cohorts: {error}")
-        return 2
-    result = sim.run()
-    rows = _result_rows(result)
-    rows.append(["clients (cohort mode)", str(params.sim.num_clients)])
-    rows.append(["cohort size", str(args.cohort_size)])
-    rows.append(["client steps", str(sim.steps)])
-    if params.faults.active:
-        for name, value in sorted(result.metrics.fault_summary().items()):
-            rows.append([name, str(value)])
-    print(render_table(["measure", "value"], rows, title="simulation result"))
-    return 0
-
-
 def _make_tracer(args, params) -> Optional[Tracer]:
-    """``--trace FILE``: tracer plus manifest, shared by every run path."""
+    """``--trace FILE``: tracer plus manifest, shared by every run mode."""
     from repro import __version__
 
     if not args.trace:
@@ -674,59 +513,84 @@ def _make_tracer(args, params) -> Optional[Tracer]:
     return tracer
 
 
-def _run_sharded(args, params, schedule) -> int:
-    """`repro run --shards K`: sharded multi-channel server run."""
-    from repro.shard import ShardedSimulation, sharded_violations
-    from repro.stats import names as metric_names
+def _run_mode(args: argparse.Namespace) -> str:
+    if args.cohorts:
+        return modes.COHORT
+    if args.shards is None:
+        return modes.DISCRETE
+    return modes.SHARD1 if args.shards == 1 else modes.SHARDED
 
-    unsupported = [
-        flag
-        for flag, on in (
-            ("--interleaved-server", args.interleaved_server),
-            ("resilience knobs", params.resilience.active),
-        )
-        if on
-    ]
-    if unsupported:
-        print(
-            f"--shards is incompatible with {', '.join(unsupported)}: "
-            "sharded channels drive plain listeners (run the "
-            "single-channel server for 2PL interleaving and recovery)"
-        )
-        return 2
-    tracer = _make_tracer(args, params)
-    try:
-        sim = ShardedSimulation(
+
+def _given(**knobs):
+    """The knobs set on the command line; the rest keep the callee's default."""
+    return {name: value for name, value in knobs.items() if value is not None}
+
+
+def _build_sim(mode, args, params, schedule, tracer):
+    factory = scheme_factory(args.scheme)
+    columnar = not args.no_columnar
+    if mode == modes.COHORT:
+        from repro.cohort import CohortSimulation
+
+        return CohortSimulation(
             params,
-            scheme_factory(args.scheme),
-            num_shards=args.shards,
-            partitioner=args.partitioner,
-            consistency=args.shard_consistency,
-            cross_shard_fraction=args.cross_shard_fraction,
+            scheme_factory=factory,
+            report_schedule=schedule,
+            columnar=columnar,
+            **_given(cohort_size=args.cohort_size),
+        )
+    if mode == modes.DISCRETE:
+        return Simulation(
+            params,
+            scheme_factory=factory,
             report_schedule=schedule,
             keep_history=args.verify,
+            interleaved_server=args.interleaved_server,
             tracer=tracer,
-            columnar=not args.no_columnar,
+            columnar=columnar,
         )
-    except ValueError as error:
-        print(f"--shards: {error}")
-        return 2
-    result = sim.run()
-    if tracer is not None:
-        tracer.close()
-        print(f"trace written to {args.trace}")
+    from repro.shard import ShardedSimulation
 
-    rows = _result_rows(result)
-    rows.append(["shards", str(args.shards)])
-    rows.append(["partitioner", args.partitioner])
-    rows.append(["consistency", args.shard_consistency])
-    cross = result.metrics.get_counter(metric_names.SHARD_CROSS_COMMITS)
-    rows.append(["cross-shard commits", str(cross.value if cross else 0)])
-    if args.shard_consistency == "epoch":
-        epoch = result.metrics.get_counter(metric_names.SHARD_EPOCH_ABORTS)
+    return ShardedSimulation(
+        params,
+        factory,
+        num_shards=args.shards,
+        cross_shard_fraction=args.cross_shard_fraction,
+        report_schedule=schedule,
+        keep_history=args.verify,
+        tracer=tracer,
+        columnar=columnar,
+        **_given(
+            partitioner=args.partitioner, consistency=args.shard_consistency
+        ),
+    )
+
+
+def _mode_rows(mode, sim, result) -> List[List[str]]:
+    """The rows only one mode prints, after the shared ones."""
+    from repro.stats import names as metric_names
+
+    metrics = result.metrics
+    if mode == modes.COHORT:
+        return [
+            ["clients (cohort mode)", str(sim.params.sim.num_clients)],
+            ["cohort size", str(sim.cohort_size)],
+            ["client steps", str(sim.steps)],
+        ]
+    if mode == modes.DISCRETE:
+        return []
+    cross = metrics.get_counter(metric_names.SHARD_CROSS_COMMITS)
+    rows = [
+        ["shards", str(sim.num_shards)],
+        ["partitioner", sim.partitioner.name],
+        ["consistency", sim.consistency],
+        ["cross-shard commits", str(cross.value if cross else 0)],
+    ]
+    if sim.consistency == "epoch":
+        epoch = metrics.get_counter(metric_names.SHARD_EPOCH_ABORTS)
         rows.append(["epoch aborts", str(epoch.value if epoch else 0)])
     for shard in sim.shards:
-        sampler = result.metrics.get_sampler(
+        sampler = metrics.get_sampler(
             metric_names.shard_metric(shard.index, metric_names.BROADCAST_SLOTS)
         )
         if sampler is not None and sampler.count:
@@ -736,74 +600,18 @@ def _run_sharded(args, params, schedule) -> int:
                     f"{sampler.mean:.1f} mean x {len(shard.items)} items",
                 ]
             )
-    if params.faults.active:
-        for name, value in sorted(result.metrics.fault_summary().items()):
-            rows.append([name, str(value)])
-    print(render_table(["measure", "value"], rows, title="simulation result"))
-
-    if args.verify:
-        bad = sharded_violations(sim)
-        print(f"correctness oracle: {len(bad)} violation(s)")
-        if bad:
-            for txn, why in bad[:5]:
-                print(f"  {txn.txn_id} [{why}]: {dict(txn.reads)}")
-            return 1
-    return 0
+    return rows
 
 
-def _command_run(args: argparse.Namespace) -> int:
-    params = _params_from(args)
-    schedule = ReportSchedule(
-        per_cycle=args.reports_per_cycle, window=args.report_window
-    )
-    if args.cohorts:
-        unsupported = [
-            flag
-            for flag, on in (
-                ("--trace", bool(args.trace)),
-                ("--verify", args.verify),
-                ("--interleaved-server", args.interleaved_server),
-                ("--shards", args.shards is not None),
-                (
-                    "--cross-shard-fraction",
-                    args.cross_shard_fraction is not None,
-                ),
-            )
-            if on
-        ]
-        if unsupported:
-            print(
-                f"--cohorts is incompatible with {', '.join(unsupported)}: "
-                "the cohort engine aggregates a single-channel population "
-                "(use the discrete engine for per-event tooling and the "
-                "sharded server)"
-            )
-            return 2
-        return _run_cohorts(args, params, schedule)
-    if args.shards is not None:
-        return _run_sharded(args, params, schedule)
-    tracer = _make_tracer(args, params)
-    sim = Simulation(
-        params,
-        scheme_factory=scheme_factory(args.scheme),
-        report_schedule=schedule,
-        keep_history=args.verify,
-        interleaved_server=args.interleaved_server,
-        tracer=tracer,
-        columnar=not args.no_columnar,
-    )
-    result = sim.run()
-    if tracer is not None:
-        tracer.close()
-        print(f"trace written to {args.trace}")
+def _extension_rows(params, result) -> List[List[str]]:
+    """Fault and resilience counters, printed when those knobs are on."""
+    from repro.stats import names as metric_names
 
-    rows = _result_rows(result)
+    rows = []
     if params.faults.active:
         for name, value in sorted(result.metrics.fault_summary().items()):
             rows.append([name, str(value)])
     if params.resilience.active:
-        from repro.stats import names as metric_names
-
         for name in metric_names.RESILIENCE_COUNTERS:
             counter = result.metrics.get_counter(name)
             rows.append([name, str(counter.value if counter else 0)])
@@ -812,16 +620,74 @@ def _command_run(args: argparse.Namespace) -> int:
             rows.append(
                 [metric_names.TIME_TO_RECOVER_CYCLES, f"{ttr.mean:.1f} mean"]
             )
-    print(render_table(["measure", "value"], rows, title="simulation result"))
+    return rows
 
-    if args.verify:
+
+def _violations(mode, sim):
+    """``--verify``: (transaction, why) for every committed query the
+    correctness oracle rejects."""
+    if mode == modes.DISCRETE:
         from repro.verify import violations
 
         bad = violations(sim.clients, sim.database, sim.engine.history)
+        return [(txn, None) for txn in bad]
+    from repro.shard import sharded_violations
+
+    return sharded_violations(sim)
+
+
+def _command_run(args: argparse.Namespace) -> int:
+    mode = _run_mode(args)
+    try:
+        params = _params_from(args)
+        schedule = ReportSchedule(
+            per_cycle=args.reports_per_cycle, window=args.report_window
+        )
+        modes.check(
+            mode,
+            params,
+            schedule,
+            interleaved=args.interleaved_server,
+            trace=bool(args.trace),
+            verify=args.verify,
+            knobs={
+                modes.SHARDS: args.shards,
+                modes.PARTITIONER: args.partitioner,
+                modes.SHARD_CONSISTENCY: args.shard_consistency,
+                modes.CROSS_SHARD_FRACTION: args.cross_shard_fraction,
+                modes.COHORT_SIZE: args.cohort_size,
+            },
+        )
+    except ValueError as error:
+        print(f"run: {error}")
+        return 2
+    tracer = _make_tracer(args, params)
+    try:
+        sim = _build_sim(mode, args, params, schedule, tracer)
+    except ValueError as error:
+        if tracer is not None:
+            tracer.close()
+        print(f"run: {error}")
+        return 2
+    result = sim.run()
+    if tracer is not None:
+        tracer.close()
+        print(f"trace written to {args.trace}")
+
+    rows = (
+        _result_rows(result)
+        + _mode_rows(mode, sim, result)
+        + _extension_rows(params, result)
+    )
+    print(render_table(["measure", "value"], rows, title="simulation result"))
+
+    if args.verify:
+        bad = _violations(mode, sim)
         print(f"correctness oracle: {len(bad)} violation(s)")
         if bad:
-            for txn in bad[:5]:
-                print(f"  {txn.txn_id}: {dict(txn.reads)}")
+            for txn, why in bad[:5]:
+                tag = f" [{why}]" if why else ""
+                print(f"  {txn.txn_id}{tag}: {dict(txn.reads)}")
             return 1
     return 0
 
@@ -946,102 +812,6 @@ def _command_trace(args: argparse.Namespace) -> int:
     raise AssertionError(f"unhandled trace command {args.trace_command!r}")
 
 
-def _command_experiments(args: argparse.Namespace) -> int:
-    if args.check:
-        from repro import oracle
-
-        argv: List[str] = ["parallel", "--jobs", str(max(args.jobs, 2))]
-        if args.artifacts:
-            argv += ["--artifacts", args.artifacts]
-        argv += args.names
-        return oracle.main(argv)
-
-    from repro.experiments.__main__ import main as experiments_main
-
-    argv = list(args.names)
-    if args.quick:
-        argv.append("--quick")
-    argv += ["--jobs", str(args.jobs)]
-    if args.cache:
-        argv += ["--cache", args.cache]
-    if args.progress:
-        argv.append("--progress")
-    if args.preset:
-        argv += ["--preset", args.preset]
-    if args.cohorts:
-        argv.append("--cohorts")
-    if args.cohort_out:
-        argv += ["--cohort-out", args.cohort_out]
-    argv += ["--shard-out", args.shard_out]
-    return experiments_main(argv)
-
-
-def _command_bench(args: argparse.Namespace) -> int:
-    if args.suite == "hotpath":
-        from repro.obs import hotpath
-
-        argv = ["--repeats", str(args.repeats)]
-        if args.out:
-            argv += ["--out", args.out]
-        if args.quick:
-            argv.append("--quick")
-        if args.before:
-            argv += ["--before", args.before]
-        if args.against:
-            argv += ["--against", args.against]
-        argv += ["--max-regression", str(args.max_regression)]
-        if args.max_shard_overhead is not None:
-            argv += ["--max-shard-overhead", str(args.max_shard_overhead)]
-        if args.max_columnar_regression is not None:
-            argv += [
-                "--max-columnar-regression",
-                str(args.max_columnar_regression),
-            ]
-        if args.max_before_regression is not None:
-            argv += [
-                "--max-before-regression",
-                str(args.max_before_regression),
-            ]
-        argv += ["--profile-top", str(args.profile_top)]
-        return hotpath.main(argv)
-
-    from repro.obs import bench
-
-    argv = ["--scenario", args.scenario, "--repeats", str(args.repeats)]
-    if args.out:
-        argv += ["--out", args.out]
-    if args.max_overhead is not None:
-        argv += ["--max-overhead", str(args.max_overhead)]
-    if args.trace_sample:
-        argv += ["--trace-sample", args.trace_sample]
-    return bench.main(argv)
-
-
-def _serve_params(args: argparse.Namespace) -> ModelParameters:
-    return (
-        ModelParameters()
-        .with_server(
-            broadcast_size=args.broadcast_size,
-            update_range=args.update_range,
-            updates_per_cycle=args.updates,
-            offset=args.offset,
-            retention=args.retention,
-        )
-        .with_client(
-            ops_per_query=args.ops,
-            read_range=args.read_range,
-            cache_size=args.cache_size,
-            think_time=args.think_time,
-        )
-        .with_sim(
-            num_cycles=args.cycles,
-            warmup_cycles=args.warmup,
-            num_clients=args.clients,
-            seed=args.seed,
-        )
-    )
-
-
 def _command_serve(args: argparse.Namespace) -> int:
     import asyncio
     import signal
@@ -1049,7 +819,7 @@ def _command_serve(args: argparse.Namespace) -> int:
     from repro.live.clock import ImmediateClock, RealTimeClock
     from repro.live.server import LiveBroadcastServer
 
-    params = _serve_params(args)
+    params = _model_params(args)
     scheme = scheme_factory(args.scheme)()
     clock = (
         RealTimeClock(args.slot_seconds)
@@ -1156,10 +926,28 @@ def _command_sizes(args: argparse.Namespace) -> int:
     return 0
 
 
+def _pass_through(command: str, argv: List[str]) -> int:
+    """``repro bench [overhead|hotpath]`` / ``repro experiments``: the
+    tool's own parser reads the rest of the command line."""
+    if command == "experiments":
+        import repro.experiments.__main__ as experiments
+
+        return experiments.main(argv)
+    if argv[:1] == ["hotpath"]:
+        from repro.obs import hotpath
+
+        return hotpath.main(argv[1:])
+    from repro.obs import bench
+
+    return bench.main(argv[1:] if argv[:1] == ["overhead"] else argv)
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        return _dispatch(args)
+        if argv and argv[0] in PASS_THROUGH:
+            return _pass_through(argv[0], argv[1:])
+        return _dispatch(build_parser().parse_args(argv))
     except BrokenPipeError:
         # Output piped into a pager/head that closed early; not an error.
         sys.stderr.close()
@@ -1171,10 +959,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         return _command_run(args)
     if args.command == "trace":
         return _command_trace(args)
-    if args.command == "bench":
-        return _command_bench(args)
-    if args.command == "experiments":
-        return _command_experiments(args)
     if args.command == "serve":
         return _command_serve(args)
     if args.command == "listen":

@@ -39,6 +39,7 @@ import math
 import random
 from typing import Callable, List, Optional
 
+from repro import modes
 from repro.client.disconnect import DisconnectionModel, UnionDisconnections
 from repro.client.machine import BroadcastClient
 from repro.cohort.channel import CohortChannel
@@ -147,17 +148,8 @@ class CohortSimulation:
         columnar: bool = True,
     ) -> None:
         params.validate()
-        if params.resilience.active:
-            raise ValueError(
-                "cohort mode does not support resilience bundles; "
-                "run without --cohorts for crash-recovery experiments"
-            )
         self.report_schedule = report_schedule or ReportSchedule()
-        if self.report_schedule.per_cycle != 1:
-            raise ValueError(
-                "cohort mode requires one report per cycle; sub-cycle "
-                "interim reports need the event-driven simulation"
-            )
+        modes.check(modes.COHORT, params, self.report_schedule)
         self.params = params
         self.scheme_factory = scheme_factory
         self.disconnect_factory = disconnect_factory

@@ -6,6 +6,7 @@
     python -m repro.experiments fig5 --jobs 4    # shard cells over 4 workers
     python -m repro.experiments --jobs 0 --cache results/.cells
                                                  # one worker per CPU, resumable
+    python -m repro.experiments --check --jobs 2 # parallel-vs-serial oracle
 
 ``--jobs`` shards every sweep's (scheme, x, seed) cells over worker
 processes (see :mod:`repro.experiments.parallel`); output is
@@ -115,11 +116,38 @@ def build_parser() -> argparse.ArgumentParser:
             "(default: results/BENCH_shard.json; empty string disables)"
         ),
     )
+    parser.add_argument(
+        "--check",
+        action="store_true",
+        help=(
+            "run the parallel-vs-serial determinism oracle on the named "
+            "experiments instead (python -m repro.oracle parallel; "
+            "--jobs is raised to at least 2)"
+        ),
+    )
+    parser.add_argument(
+        "--artifacts",
+        default=None,
+        metavar="DIR",
+        help="with --check: write failing cells' CSVs, diffs and reports here",
+    )
     return parser
+
+
+def _check(args: argparse.Namespace) -> int:
+    """``--check``: the parallel oracle needs >= 2 workers to mean anything."""
+    from repro import oracle
+
+    argv = ["parallel", "--jobs", str(max(args.jobs, 2))]
+    if args.artifacts:
+        argv += ["--artifacts", args.artifacts]
+    return oracle.main(argv + args.names)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    if args.check:
+        return _check(args)
     profile = QUICK_PROFILE if args.quick else FULL_PROFILE
     label = "quick" if args.quick else "full"
     unknown = [n for n in args.names if n not in EXPERIMENTS]

@@ -23,6 +23,7 @@ import random
 from dataclasses import asdict
 from typing import Optional, Set
 
+from repro import modes
 from repro.config import (
     ClientParameters,
     FaultParameters,
@@ -92,17 +93,10 @@ class LiveBroadcastServer:
         report_schedule: Optional[ReportSchedule] = None,
     ) -> None:
         params.validate()
-        if params.resilience.active:
-            raise ValueError(
-                "live mode does not support resilience bundles; run the "
-                "event-driven simulation for crash-recovery experiments"
-            )
         self.report_schedule = report_schedule or ReportSchedule()
-        if self.report_schedule.per_cycle != 1:
-            raise ValueError(
-                "live mode airs one report per cycle; sub-cycle interim "
-                "reports need the event-driven simulation"
-            )
+        modes.check(
+            modes.LIVE, params, self.report_schedule, verify=keep_history
+        )
         self.params = params
         self.requirements = BroadcastRequirements(
             report_window=self.report_schedule.window

@@ -23,6 +23,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
+from repro import modes
 from repro.broadcast.channel import BroadcastChannel
 from repro.broadcast.schedule import Schedule
 from repro.client.disconnect import DisconnectionModel, UnionDisconnections
@@ -162,6 +163,15 @@ class Simulation(KernelSimulation):
     ) -> None:
         params.validate()
         self.report_schedule = report_schedule or ReportSchedule()
+        modes.check(
+            modes.DISCRETE,
+            params,
+            self.report_schedule,
+            schedule=schedule,
+            interleaved=interleaved_server,
+            trace=tracer is not None,
+            verify=keep_history,
+        )
         self._bind_kernel(params, tracer)
 
         # Instantiate one scheme per client and merge their requirements.

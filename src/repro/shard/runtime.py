@@ -32,6 +32,7 @@ import random
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence
 
+from repro import modes
 from repro.broadcast.channel import BroadcastChannel
 from repro.broadcast.schedule import Schedule
 from repro.client.machine import BroadcastClient
@@ -256,16 +257,15 @@ class ShardedSimulation(KernelSimulation):
                 f"Unknown consistency mode {consistency!r}; known: "
                 + ", ".join(CONSISTENCY_MODES)
             )
-        if params.resilience.active:
-            raise ValueError(
-                "sharded mode does not support the resilience layer; "
-                "run without resilience knobs or with --shards omitted"
-            )
-        if schedule is not None and num_shards > 1:
-            raise ValueError(
-                "custom broadcast schedules apply to the single-channel "
-                "server only; shards derive their order from the partitioner"
-            )
+        self.report_schedule = report_schedule or ReportSchedule()
+        modes.check(
+            modes.SHARD1 if num_shards == 1 else modes.SHARDED,
+            params,
+            self.report_schedule,
+            schedule=schedule,
+            trace=tracer is not None,
+            verify=keep_history,
+        )
         if shard_retention is not None and len(shard_retention) != num_shards:
             raise ValueError(
                 f"shard_retention needs one entry per shard "
@@ -282,12 +282,6 @@ class ShardedSimulation(KernelSimulation):
         self.num_shards = num_shards
         self.consistency = consistency
         self.cross_shard_fraction = cross_shard_fraction
-        self.report_schedule = report_schedule or ReportSchedule()
-        if num_shards > 1 and self.report_schedule.per_cycle != 1:
-            raise ValueError(
-                "sub-cycle reports are a single-channel extension; "
-                "sharded mode requires reports_per_cycle == 1"
-            )
         if isinstance(partitioner, Partitioner):
             self.partitioner = partitioner
         else:

@@ -1,6 +1,7 @@
 """Engine-level properties of the cohort driver that the oracle matrix
-does not exercise directly: gating, chunking invariance, and optional
-collaborators (disconnection models, report schedules)."""
+does not exercise directly: chunking invariance and optional
+collaborators (disconnection models, report schedules).  What the cohort
+engine refuses is pinned in ``tests/integration/test_mode_matrix.py``."""
 
 import random
 
@@ -12,24 +13,6 @@ from repro.core.control import ReportSchedule
 from repro.experiments.schemes import scheme_factory
 from repro.oracle import oracle_params, registry_delta, result_delta
 from repro.runtime import Simulation
-
-
-def test_rejects_resilience_bundles():
-    params = oracle_params(2, seed=7, faults=False).with_resilience(
-        crash_rate=0.01
-    )
-    with pytest.raises(ValueError, match="resilience"):
-        CohortSimulation(params, scheme_factory("inval"))
-
-
-def test_rejects_subcycle_report_schedules():
-    params = oracle_params(2, seed=7, faults=False)
-    with pytest.raises(ValueError, match="one report per cycle"):
-        CohortSimulation(
-            params,
-            scheme_factory("inval"),
-            report_schedule=ReportSchedule(per_cycle=4),
-        )
 
 
 def test_report_window_is_supported():

@@ -11,7 +11,6 @@ import asyncio
 
 import pytest
 
-from repro.core.control import ReportSchedule
 from repro.experiments.schemes import scheme_factory
 from repro.live.clock import RealTimeClock
 from repro.live.codec import HELLO, FrameStream
@@ -119,19 +118,3 @@ def test_request_stop_interrupts_a_running_broadcast():
         assert _leftover_tasks() == []
 
     asyncio.run(scenario())
-
-
-def test_rejects_configurations_live_mode_cannot_honor():
-    params = oracle_params(2, seed=13, faults=False, num_cycles=10)
-    scheme = scheme_factory("inval+cache")()
-
-    resilient = params.with_resilience(retry_policy="backoff")
-    with pytest.raises(ValueError, match="resilience"):
-        LiveBroadcastServer(resilient, scheme.requirements())
-
-    with pytest.raises(ValueError, match="one report per cycle"):
-        LiveBroadcastServer(
-            params,
-            scheme.requirements(),
-            report_schedule=ReportSchedule(per_cycle=2),
-        )

@@ -1,6 +1,6 @@
 """CLI surface of the sharded server: ``repro run --shards`` and the
-per-shard airtime view, plus the pointed rejections for flag
-combinations the sharded runtime does not support."""
+per-shard airtime view.  Which flags sharded mode refuses is pinned for
+every pair in ``tests/integration/test_mode_matrix.py``."""
 
 import pytest
 
@@ -48,34 +48,12 @@ class TestRunSharded:
 
 
 class TestRejections:
-    def test_cohorts_rejects_shards(self, capsys):
-        assert main(RUN_SHARDED + ["--cohorts", "--shards", "2"]) == 2
-        out = capsys.readouterr().out
-        assert "--cohorts is incompatible with --shards" in out
-
-    def test_cohorts_rejects_cross_shard_fraction(self, capsys):
-        assert (
-            main(RUN_SHARDED + ["--cohorts", "--cross-shard-fraction", "0.5"])
-            == 2
-        )
-        assert "--cross-shard-fraction" in capsys.readouterr().out
-
-    def test_shards_rejects_interleaved_server(self, capsys):
-        assert (
-            main(RUN_SHARDED + ["--shards", "2", "--interleaved-server"]) == 2
-        )
-        assert "--interleaved-server" in capsys.readouterr().out
-
-    def test_shards_rejects_resilience(self, capsys):
-        assert main(RUN_SHARDED + ["--shards", "2", "--crash-rate", "0.1"]) == 2
-        assert "resilience" in capsys.readouterr().out
-
     def test_shards_rejects_bad_fraction(self, capsys):
         assert (
             main(RUN_SHARDED + ["--shards", "2", "--cross-shard-fraction", "1.5"])
             == 2
         )
-        assert "--shards:" in capsys.readouterr().out
+        assert "cross-shard fraction must be in [0,1]" in capsys.readouterr().out
 
 
 class TestShardAirtime:

@@ -4,7 +4,8 @@ The full matrix (``python -m repro.oracle shard``) runs ~180 cells; this
 suite pins a representative slice into tier-1: K=1 bit-identity against
 the single-channel simulator, clean consistency contracts at K>1 in
 both modes, workload apportionment invariants, and the constructor's
-pointed rejections.
+input validation (what sharded mode refuses is pinned for every pair in
+``tests/integration/test_mode_matrix.py``).
 """
 
 import pytest
@@ -134,15 +135,6 @@ class TestTopology:
         with pytest.raises(ValueError, match="shard"):
             ShardedSimulation(
                 params, scheme_factory("inval"), num_shards=3
-            )
-
-    def test_rejects_resilience(self):
-        params = oracle_params(2, seed=7, faults=False, num_cycles=10)
-        with pytest.raises(ValueError, match="resilience"):
-            ShardedSimulation(
-                params.with_resilience(crash_rate=0.1),
-                scheme_factory("inval"),
-                num_shards=2,
             )
 
     def test_rejects_unknown_partitioner(self):
